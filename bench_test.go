@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
 	"wavemin/internal/bench"
@@ -20,6 +21,7 @@ import (
 	"wavemin/internal/cts"
 	"wavemin/internal/experiments"
 	"wavemin/internal/mosp"
+	"wavemin/internal/obs"
 	"wavemin/internal/polarity"
 	"wavemin/internal/spice"
 	"wavemin/internal/variation"
@@ -474,6 +476,81 @@ func BenchmarkMOSPSolve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMOSPSolveISPD times the solver on realistic instances: every
+// zone graph of ispd09f34's first interval (the richest in degrees of
+// freedom, which Optimize solves first) at the paper defaults (|S| = 158,
+// ε = 0.01, and the 4000-label cap polarity.Optimize applies). Unlike the
+// toy BenchmarkMOSPSolve, these layers produce Warburton dedup hits and
+// outgrow the Pareto filter's size limit. The largest graph alone would
+// not do: it caps layers but never dedups.
+func BenchmarkMOSPSolveISPD(b *testing.B) {
+	graphs := ispdZoneGraphs(b)
+	opt := mosp.Options{Epsilon: 0.01, MaxLabels: 4000}
+	solveAll := func(ctx context.Context) {
+		for _, g := range graphs {
+			if _, err := mosp.Solve(ctx, g, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// One traced pass shows the instances reach both mechanisms.
+	tr := obs.New(obs.Options{})
+	sp := tr.Start("mosp")
+	solveAll(obs.WithSpan(context.Background(), sp))
+	sp.End()
+	counts := tr.Events()[0].Counters
+	if counts["mosp.dedup_hits"] == 0 || counts["mosp.capped_layers"] == 0 {
+		b.Fatalf("instances too small to exercise dedup and the label cap: %v", counts)
+	}
+	b.ReportMetric(float64(len(graphs)), "graphs")
+	b.ReportMetric(float64(counts["mosp.dedup_hits"]), "dedup-hits")
+	b.ReportMetric(float64(counts["mosp.capped_layers"]), "capped-layers")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solveAll(context.Background())
+	}
+}
+
+// ispdZoneGraphs builds the MOSP graph of every zone that a default-config
+// Optimize of ispd09f34 solves for its first interval.
+func ispdZoneGraphs(b *testing.B) []*mosp.Graph {
+	b.Helper()
+	d, err := Benchmark("ispd09f34")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{}.withDefaults()
+	sizing, err := cell.DefaultLibrary().Restrict("BUF_X8", "BUF_X16", "INV_X8", "INV_X16")
+	if err != nil {
+		b.Fatal(err)
+	}
+	mode := clocktree.NominalMode
+	cs := polarity.BuildCandidates(d.Tree, sizing, mode)
+	intervals, err := polarity.FeasibleIntervals(cs, cfg.Kappa)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Optimize's interval order.
+	sort.SliceStable(intervals, func(i, j int) bool {
+		return intervals[i].DegreeOfFreedom() > intervals[j].DegreeOfFreedom()
+	})
+	tm := d.Tree.ComputeTiming(mode)
+	leafIndex := make(map[clocktree.NodeID]int)
+	for i, leaf := range cs.Leaves() {
+		leafIndex[leaf] = i
+	}
+	var graphs []*mosp.Graph
+	for _, zone := range polarity.LeafZones(polarity.PartitionZones(d.Tree, cfg.ZoneSize)) {
+		zi, err := polarity.BuildZoneInstance(d.Tree, tm, cs, zone, &intervals[0], leafIndex, cfg.Samples)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, zi.Graph)
+	}
+	return graphs
 }
 
 func BenchmarkSpiceTransient(b *testing.B) {

@@ -21,10 +21,12 @@
 //
 // The label-expansion hot loop is allocation-free in steady state: cost
 // vectors live in two chunked float arenas that double-buffer across
-// layers, label structs come from a chunked slab (stable addresses, so
-// prev chains survive), and round-key deduplication uses an FNV-1a hash
-// of the quantized coordinates with collision-checked equality instead of
-// a string-keyed map.
+// layers and are recycled across solves through a sync.Pool, label
+// structs come from a chunked slab (stable addresses, so prev chains
+// survive), round-key deduplication uses one multiply–xorshift mix per
+// quantized coordinate with collision-checked equality instead of a
+// string-keyed map, and the Pareto filter tests a per-label witness
+// coordinate before any full dominance scan.
 package mosp
 
 import (
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"wavemin/internal/faultinject"
 	"wavemin/internal/obs"
@@ -406,11 +409,19 @@ type floatArena struct {
 }
 
 func newFloatArena(r int) *floatArena {
-	size := 1 << 14
-	if size < 4*r {
-		size = 4 * r
+	return &floatArena{chunkSize: max(1<<14, 4*r)}
+}
+
+// reuse readies a recycled (or zero) arena for dimension r. Chunks that
+// hold at least four vectors are kept, reset but not cleared: every cost
+// vector is written before it is read. An arena with smaller chunks is
+// rebuilt for r.
+func (a *floatArena) reuse(r int) {
+	if a.chunkSize < 4*r {
+		*a = *newFloatArena(r)
+		return
 	}
-	return &floatArena{chunkSize: size}
+	a.reset()
 }
 
 func (a *floatArena) alloc(r int) []float64 {
@@ -441,6 +452,17 @@ func (a *floatArena) reset() {
 	}
 	a.ci = 0
 }
+
+// expandScratch is expandLayers' per-solve working memory: the two cost
+// arenas and paretoFilter's witness buffer. scratchPool recycles it across
+// solves, so a steady stream of solves stops paying for fresh, zeroed
+// chunks.
+type expandScratch struct {
+	arenas  [2]floatArena
+	witness [paretoFilterMax]int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(expandScratch) }}
 
 // labelArena slab-allocates labels in fixed chunks so pointers remain
 // stable (prev chains) while amortizing allocation to one make per chunk.
@@ -494,7 +516,8 @@ func Solve(ctx context.Context, g *Graph, opt Options) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	frontier, err := expandLayers(ctx, g, opt, greedy.Max, true, st)
+	frontier, release, err := expandLayers(ctx, g, opt, greedy.Max, true, st)
+	defer release()
 	if sp != nil {
 		st.flush(sp)
 	}
@@ -532,7 +555,10 @@ func Solve(ctx context.Context, g *Graph, opt Options) (Solution, error) {
 // expandLayers runs the Pareto label expansion over every layer and
 // returns the dest frontier (nil/empty when everything was pruned against
 // the incumbent upper bound ub). Shared by Solve and paretoCount.
-func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites bool, st *solveStats) ([]*label, error) {
+//
+// The frontier's cost vectors live in pooled arenas: the caller must call
+// release, on every path, once it has stopped reading frontier labels.
+func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites bool, st *solveStats) (frontier []*label, release func(), err error) {
 	r := g.Dim()
 	// Warburton scaling: rounding each coordinate down to a multiple of δ
 	// changes any path's coordinate by < |L|·δ = ε·UB ≤ ε·OPT-scale, so
@@ -540,6 +566,14 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 	delta := 0.0
 	if opt.Epsilon > 0 && ub > 0 {
 		delta = opt.Epsilon * ub / float64(len(g.Layers))
+	}
+	// Every kept coordinate is ≤ ub (+1e-12), so its quantized value is at
+	// most ub/δ = |L|/ε. From 2⁵³ on, δ is below the spacing of the floats
+	// it rounds, so dedup could merge only identical vectors — and past
+	// 2⁶⁴ the uint64 conversion is out of range, which Go leaves
+	// implementation-defined. Such a tiny ε is exact: solve without dedup.
+	if delta > 0 && ub/delta >= 1<<53 {
+		delta = 0
 	}
 
 	// Warm-start capacity hints: strictly pre-sizing. Clamped so a stale
@@ -556,7 +590,11 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 	// recycles the now-dead frontier costs without any per-label GC work.
 	// (Only the costs are recycled — label structs persist for the prev
 	// chains, which no longer need their cost vectors.)
-	arenas := [2]*floatArena{newFloatArena(r), newFloatArena(r)}
+	sc := scratchPool.Get().(*expandScratch)
+	release = func() { scratchPool.Put(sc) }
+	arenas := &sc.arenas
+	arenas[0].reuse(r)
+	arenas[1].reuse(r)
 	cur := 0
 
 	base := arenas[cur].alloc(r)
@@ -566,7 +604,7 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 	}
 	start := labels.alloc()
 	*start = label{cost: base, max: maxOf(base), layer: -1, pick: -1}
-	frontier := []*label{start}
+	frontier = []*label{start}
 	nextCap := 64
 	if warmFrontier > nextCap {
 		nextCap = warmFrontier
@@ -583,12 +621,12 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 
 	for li, layer := range g.Layers {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, release, err
 		}
 		if sites {
 			faultinject.At(faultinject.SiteMospSolveLayer)
 		}
-		nextArena := arenas[1-cur]
+		nextArena := &arenas[1-cur]
 		next = next[:0]
 		if delta > 0 {
 			clear(seen)
@@ -596,7 +634,7 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 		for fi, lb := range frontier {
 			if fi%1024 == 1023 {
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return nil, release, err
 				}
 			}
 			for vi := range layer {
@@ -659,8 +697,8 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 			}
 		}
 		// Pareto dominance filter (exact costs) when affordable.
-		if len(next) <= 2048 {
-			next = paretoFilter(next, r)
+		if len(next) <= paretoFilterMax {
+			next = paretoFilter(next, r, sc.witness[:])
 		}
 		// Safety valve.
 		if len(next) > opt.MaxLabels {
@@ -671,13 +709,13 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 			next = next[:opt.MaxLabels]
 		}
 		if len(next) == 0 {
-			return nil, nil
+			return nil, release, nil
 		}
 		frontier, next = next, frontier
 		arenas[cur].reset()
 		cur = 1 - cur
 	}
-	return frontier, nil
+	return frontier, release, nil
 }
 
 // ParetoSize reports how many labels survive at the dest layer for the
@@ -694,7 +732,8 @@ func paretoCount(g *Graph, opt Options) int {
 		opt.MaxLabels = DefaultMaxLabels
 	}
 	greedy, _ := SolveGreedy(g)
-	frontier, err := expandLayers(context.Background(), g, opt, greedy.Max, false, nil)
+	frontier, release, err := expandLayers(context.Background(), g, opt, greedy.Max, false, nil)
+	defer release()
 	if err != nil {
 		return 0
 	}
@@ -714,23 +753,17 @@ func maxOf(v []float64) float64 {
 	return m
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// hashQuantized is FNV-1a over the little-endian bytes of each coordinate
-// rounded down to a multiple of delta — the allocation-free replacement
-// for the old string round-key.
+// hashQuantized hashes the coordinates rounded down to multiples of delta
+// — the allocation-free replacement for the old string round-key. Each
+// quantized coordinate is folded in with one multiply–xorshift step.
+// Every step is a bijection of the running state, so vectors that differ
+// in a single coordinate never collide; a true collision elsewhere costs a
+// missed dedup (sameQuantized catches it), never a wrong merge.
 func hashQuantized(cost []float64, delta float64) uint64 {
-	h := uint64(fnvOffset64)
+	h := uint64(0x9e3779b97f4a7c15)
 	for _, c := range cost {
-		q := uint64(c / delta)
-		for b := 0; b < 8; b++ {
-			h ^= q & 0xff
-			h *= fnvPrime64
-			q >>= 8
-		}
+		h = (h ^ uint64(c/delta)) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
 	}
 	return h
 }
@@ -746,40 +779,65 @@ func sameQuantized(a, b []float64, delta float64) bool {
 	return true
 }
 
-// paretoFilter removes labels dominated by another label (≤ on every
-// coordinate, < on at least one implied by distinctness handling: we treat
-// equal vectors as mutually dominating and keep one).
-func paretoFilter(labels []*label, r int) []*label {
+// paretoFilterMax is the largest layer paretoFilter runs on: the filter is
+// quadratic, so bigger layers go straight to the MaxLabels safety valve.
+const paretoFilterMax = 2048
+
+// paretoFilter sorts labels by max and drops every label that an earlier
+// kept label dominates (≤ on every coordinate, within 1e-15). Equal
+// vectors dominate each other, so only the first of them is kept.
+//
+// witness (at least len(labels) long) holds one coordinate per kept
+// label: first its argmax, then the last coordinate where it failed to
+// dominate a candidate. Nearby candidates tend to fail on the same
+// coordinate, so testing it first skips most full scans. exceedsAt is a
+// pure predicate, so the screening changes which scans run, never which
+// labels are kept or their order.
+func paretoFilter(labels []*label, r int, witness []int32) []*label {
 	// Sort by max ascending: a label can only be dominated by one with a
-	// smaller-or-equal max.
+	// smaller-or-equal max, so only earlier labels need checking.
 	sort.Slice(labels, func(i, j int) bool { return labels[i].max < labels[j].max })
 	out := labels[:0]
 	for _, cand := range labels {
 		dominated := false
-		for _, kept := range out {
-			// A kept label whose max strictly exceeds the candidate's max
-			// cannot dominate it — the maxes already order the pair, so
-			// skip the full coordinate scan.
-			if kept.max > cand.max+1e-15 {
+		for k, kept := range out {
+			if w := witness[k]; kept.cost[w] > cand.cost[w]+1e-15 {
 				continue
 			}
-			if dominates(kept.cost, cand.cost, r) {
-				dominated = true
-				break
+			if s := exceedsAt(kept.cost, cand.cost, r); s >= 0 {
+				witness[k] = int32(s)
+				continue
 			}
+			dominated = true
+			break
 		}
 		if !dominated {
+			witness[len(out)] = int32(argmax(cand.cost))
 			out = append(out, cand)
 		}
 	}
 	return out
 }
 
-func dominates(a, b []float64, r int) bool {
+// exceedsAt reports whether a dominates b: it returns -1 when a[s] ≤
+// b[s]+1e-15 on every coordinate, and otherwise the first coordinate s
+// where that fails.
+func exceedsAt(a, b []float64, r int) int {
 	for s := 0; s < r; s++ {
 		if a[s] > b[s]+1e-15 {
-			return false
+			return s
 		}
 	}
-	return true
+	return -1
+}
+
+// argmax returns the index of the first largest coordinate of v.
+func argmax(v []float64) int {
+	best := 0
+	for s, x := range v {
+		if x > v[best] {
+			best = s
+		}
+	}
+	return best
 }

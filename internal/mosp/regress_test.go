@@ -4,6 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -234,4 +238,231 @@ func TestHashQuantizedCollisionCheck(t *testing.T) {
 	if hashQuantized(a, delta) == hashQuantized(b, delta) {
 		t.Fatal("trivially distinct keys should hash apart")
 	}
+
+	// sameQuantized(a, b) ⇒ equal hashes: dedup relies on it to find every
+	// merge. And vectors whose keys differ in one coordinate never collide.
+	rng := rand.New(rand.NewSource(17))
+	same := 0
+	for trial := 0; trial < 2000; trial++ {
+		r := 1 + rng.Intn(160)
+		delta := math.Ldexp(1, -rng.Intn(20))
+		a := make([]float64, r)
+		b := make([]float64, r)
+		for s := range a {
+			a[s] = rng.Float64() * 100
+			b[s] = a[s]
+			if rng.Intn(8) == 0 {
+				// Anywhere in the same or the neighbouring cell.
+				b[s] = (math.Floor(a[s]/delta) + rng.Float64()*1.2) * delta
+			}
+		}
+		ha, hb := hashQuantized(a, delta), hashQuantized(b, delta)
+		if sameQuantized(a, b, delta) {
+			same++
+			if ha != hb {
+				t.Fatalf("trial %d: same quantized key, hashes %x vs %x", trial, ha, hb)
+			}
+			continue
+		}
+		diff := 0
+		for s := range a {
+			if uint64(a[s]/delta) != uint64(b[s]/delta) {
+				diff++
+			}
+		}
+		if diff == 1 && ha == hb {
+			t.Fatalf("trial %d: keys differing in one coordinate collide at %x", trial, ha)
+		}
+	}
+	if same < 100 || same > 1900 {
+		t.Fatalf("%d of 2000 pairs shared a key; the property is not exercised", same)
+	}
+}
+
+// paretoFilterReference is the unscreened O(n²) filter: the same sort,
+// then a full dominance scan of every earlier kept label.
+func paretoFilterReference(labels []*label, r int) []*label {
+	sort.Slice(labels, func(i, j int) bool { return labels[i].max < labels[j].max })
+	var out []*label
+	for _, cand := range labels {
+		dominated := false
+		for _, kept := range out {
+			all := true
+			for s := 0; s < r; s++ {
+				if kept.cost[s] > cand.cost[s]+1e-15 {
+					all = false
+					break
+				}
+			}
+			if all {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			out = append(out, cand)
+		}
+	}
+	return out
+}
+
+// TestParetoFilterMatchesReference differentially checks the
+// witness-screened filter: on seeded label sets full of equal vectors,
+// equal maxes and coordinates 1e-15 apart it must keep exactly the labels
+// the unscreened filter keeps, in the same order.
+func TestParetoFilterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2048))
+	witness := make([]int32, paretoFilterMax)
+	for trial := 0; trial < 300; trial++ {
+		r := 1 + rng.Intn(12)
+		if trial%10 == 0 {
+			r = 158
+		}
+		n := 1 + rng.Intn(400)
+		var labels []*label
+		for i := 0; i < n; i++ {
+			cost := make([]float64, r)
+			switch {
+			case i > 0 && rng.Intn(5) == 0:
+				// An exact copy of an earlier vector.
+				copy(cost, labels[rng.Intn(i)].cost)
+			case i > 0 && rng.Intn(4) == 0:
+				// An earlier vector nudged by 1e-15 on a few coordinates,
+				// so dominance hangs on the tolerance.
+				copy(cost, labels[rng.Intn(i)].cost)
+				for k := 0; k < 1+rng.Intn(3); k++ {
+					cost[rng.Intn(r)] += float64(rng.Intn(3)-1) * 1e-15
+				}
+			default:
+				// A small integer grid, so maxes tie often.
+				for s := range cost {
+					cost[s] = float64(rng.Intn(6))
+				}
+			}
+			labels = append(labels, &label{cost: cost, max: maxOf(cost), pick: int32(i)})
+		}
+		want := paretoFilterReference(append([]*label(nil), labels...), r)
+		got := paretoFilter(append([]*label(nil), labels...), r, witness)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (n=%d r=%d): kept %d labels, reference %d", trial, n, r, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (n=%d r=%d): kept label %d is pick %d, reference pick %d",
+					trial, n, r, i, got[i].pick, want[i].pick)
+			}
+		}
+	}
+}
+
+// TestSolveTinyEpsilonIsExact: an ε so small that ub/δ leaves the uint64
+// range must not collapse every coordinate onto one saturated dedup key.
+// The solve falls back to exact (no dedup) and matches brute force.
+func TestSolveTinyEpsilonIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(300))
+	for trial := 0; trial < 40; trial++ {
+		g := randGraph(rng, 2+rng.Intn(4), 2+rng.Intn(3), 1+rng.Intn(5), 100)
+		want, err := SolveExhaustive(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := Solve(context.Background(), g, Options{Epsilon: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{1e-300, 1e-30, math.SmallestNonzeroFloat64} {
+			got, err := Solve(context.Background(), g, Options{Epsilon: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got.Max-want.Max) > 1e-9 {
+				t.Fatalf("trial %d ε=%g: Solve %g vs exhaustive %g", trial, eps, got.Max, want.Max)
+			}
+			if !reflect.DeepEqual(got, exact) {
+				t.Fatalf("trial %d ε=%g: %+v differs from the exact solve %+v", trial, eps, got, exact)
+			}
+		}
+	}
+}
+
+// poisonedScratch returns solver working memory as a recycled scratch from
+// an unrelated solve might leave it: every arena slot NaN, every witness
+// out of range. A solve that read any of it before writing it would
+// return NaN costs or panic.
+func poisonedScratch(r int) *expandScratch {
+	sc := new(expandScratch)
+	for i := range sc.arenas {
+		a := &sc.arenas[i]
+		*a = *newFloatArena(r)
+		for k := 0; k < 2; k++ {
+			chunk := make([]float64, a.chunkSize)
+			for j := range chunk {
+				chunk[j] = math.NaN()
+			}
+			a.chunks = append(a.chunks, chunk)
+		}
+	}
+	for i := range sc.witness {
+		sc.witness[i] = math.MaxInt32
+	}
+	return sc
+}
+
+// TestParallelMOSPArenaReuse solves graphs of dimension 2, 158 and 4100
+// (past 4096, so a recycled arena's chunks are too small and must be
+// rebuilt) from concurrent goroutines that share the scratch pool, with
+// poisoned scratch fed into the pool between solves. Every result must
+// equal the solve of the same graph on a freshly started pool.
+func TestParallelMOSPArenaReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(158))
+	type instance struct {
+		g   *Graph
+		opt Options
+	}
+	instances := []instance{
+		{randGraph(rng, 8, 4, 2, 100), Options{Epsilon: 0.01}},
+		{randGraph(rng, 6, 4, 158, 100), Options{Epsilon: 0.01}},
+		{dupGraph(rng, 6, 4, 158), Options{Epsilon: 0.3}},
+		{randGraph(rng, 3, 3, 4100, 100), Options{Epsilon: 0.01}},
+	}
+	// A nil baseline leaves the start label's cost to the solver's own
+	// zero fill.
+	noBase := randGraph(rng, 5, 3, 158, 100)
+	noBase.Baseline = nil
+	instances = append(instances, instance{noBase, Options{Epsilon: 0.01}})
+	want := make([]Solution, len(instances))
+	for i, in := range instances {
+		// Two collections empty a sync.Pool, so this solve gets new memory.
+		runtime.GC()
+		runtime.GC()
+		sol, err := Solve(context.Background(), in.g, in.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sol
+	}
+
+	const workers, rounds = 4, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < rounds*len(instances); k++ {
+				i := (w + k) % len(instances)
+				scratchPool.Put(poisonedScratch([]int{2, 158, 4100}[(w+k)%3]))
+				got, err := Solve(context.Background(), instances[i].g, instances[i].opt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("worker %d: instance %d solved to %v (max %g), fresh pool %v (max %g)",
+						w, i, got.Picks, got.Max, want[i].Picks, want[i].Max)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
