@@ -24,8 +24,9 @@ race: vet
 # detector (the parallel fan-outs must be bitwise reproducible at any
 # worker count; the full -race suite stays in `make race`), the coverage
 # floor, a short fuzz smoke over the lease protocol and journal replay,
-# and the subprocess kill -9 recovery loop.
-check: test vet cover fuzz-smoke e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield
+# the subprocess kill -9 recovery loop, and the dispatch chaos suite
+# (every job runs through the dispatch coordinator).
+check: test vet cover fuzz-smoke e2e-dispatch e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield
 	$(GO) test -race -run Parallel . ./internal/...
 
 # Coverage with floors: internal/obs (the telemetry layer every solver

@@ -82,6 +82,7 @@ type Metrics struct {
 	Failures      int64 // accepted failure reports
 	Requeues      int64 // jobs requeued after a lapsed lease / retryable fail
 	StaleRejected int64 // mutations rejected for a stale/unknown lease
+	LocalSolves   int64 // optimization specs the local executor ran (yield chunks excluded)
 }
 
 // Coordinator owns the server side of the dispatch protocol: it turns a
@@ -98,7 +99,7 @@ type Coordinator struct {
 	shardLabel atomic.Value // string
 
 	met struct {
-		leases, heartbeats, completions, failures, requeues, staleRejected atomic.Int64
+		leases, heartbeats, completions, failures, requeues, staleRejected, localSolves atomic.Int64
 	}
 
 	stopOnce sync.Once
@@ -119,6 +120,13 @@ func NewCoordinator(q *jobq.Queue, opts Options) *Coordinator {
 			spec, ok := payload.(*JobSpec)
 			if !ok {
 				return nil, fmt.Errorf("dispatch: unexpected payload %T", payload)
+			}
+			if spec.Yield == nil {
+				// The serving process's solver-run total: the map's
+				// server_* entries are service-wide, and this executor
+				// is where a server runs its optimization jobs.
+				c.met.localSolves.Add(1)
+				obs.ExpvarCounters().Add("server_solver_runs", 1)
 			}
 			out, err := ExecuteSpec(ctx, spec, opts.SolverWorkers)
 			if err != nil {
@@ -157,8 +165,6 @@ func (c *Coordinator) sweep() {
 	}
 }
 
-// Close stops the lease sweeper. It does not drain the queue — that is
-// the owner's job (Server.Drain / Queue.Drain).
 // ShardLabel returns the label lease grants currently carry.
 func (c *Coordinator) ShardLabel() string {
 	s, _ := c.shardLabel.Load().(string)
@@ -173,6 +179,8 @@ func (c *Coordinator) SetShardLabel(label string) {
 	c.shardLabel.Store(label)
 }
 
+// Close stops the lease sweeper. It does not drain the queue — that is
+// the owner's job (Server.Drain / Queue.Drain).
 func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.sweeper.Wait()
@@ -216,6 +224,7 @@ func (c *Coordinator) MetricsSnapshot() Metrics {
 		Failures:      c.met.failures.Load(),
 		Requeues:      c.met.requeues.Load(),
 		StaleRejected: c.met.staleRejected.Load(),
+		LocalSolves:   c.met.localSolves.Load(),
 	}
 }
 

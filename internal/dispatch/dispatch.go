@@ -168,9 +168,9 @@ func ExecuteSpec(ctx context.Context, spec *JobSpec, solverWorkers int) (*Outcom
 	}
 
 	// Canonical bytes: strip every wall-clock-dependent field so the
-	// marshaled result is a pure function of the spec. The local (PR 4)
-	// path keeps Runtime because it never re-executes; the dispatch path
-	// must survive requeues and re-execution byte-identically.
+	// marshaled result is a pure function of the spec and survives
+	// requeues and re-execution byte-identically. Wall time lives in the
+	// server's job record (startedAt/finishedAt), not in the result.
 	res.Stats = nil
 	res.Runtime = 0
 	blob, err := json.Marshal(res)

@@ -1,36 +1,35 @@
 // Package jobq is a bounded, prioritized job queue with graceful drain —
 // the execution backbone of the wavemind batch optimization service.
 //
-// Jobs are submitted into one of three priority lanes and executed by a
-// fixed pool of workers, highest lane first, FIFO within a lane, with a
-// starvation guard: a lane passed over for fairShare consecutive
-// dequeues gets the next slot, so a continuous high-priority stream
-// cannot pin low-priority work in the backlog forever. The queue is
-// bounded: when the backlog is at capacity Submit fails fast with
-// ErrFull so the caller can push back (HTTP 429) instead of letting
-// latency grow without bound. Draining stops intake (ErrDraining) while
-// the workers finish every job already accepted — the SIGTERM story.
+// Jobs are submitted into one of three priority lanes and handed out
+// highest lane first, FIFO within a lane, with a starvation guard: a
+// lane passed over for fairShare consecutive dequeues gets the next
+// slot, so a continuous high-priority stream cannot pin low-priority work
+// in the backlog forever. The queue is bounded: when the backlog is at
+// capacity SubmitLeasable fails fast with ErrFull so the caller can push
+// back (HTTP 429) instead of letting latency grow without bound. Draining
+// stops intake (ErrDraining) while every job already accepted finishes —
+// the SIGTERM story.
 //
-// Beyond the push pool, the queue is also a lease state machine — the
-// substrate of the internal/dispatch coordinator/worker layer. A
-// leasable job (SubmitLeasable) carries an opaque payload instead of a
-// run function and is pulled by external consumers via Lease/LeaseWait,
-// which grant exclusive, heartbeat-renewed ownership for the queue's
-// lease TTL. Complete and Fail resolve the lease; a lease whose
-// heartbeats lapse (ExpireLeases) puts the job back at the front of its
-// lane and counts an attempt, until the retry budget is spent and the
-// job fails with *RetryExhaustedError. The submitter observes the whole
-// lifecycle through a Ticket and an optional per-job event callback.
-// When a lease executor is installed (SetLeaseExecutor) the push pool
-// runs leasable jobs too, so a queue with no external consumers still
-// makes progress.
+// Every job is leasable — the queue is a lease state machine, the
+// substrate of the internal/dispatch coordinator/worker layer. A job
+// (SubmitLeasable) carries an opaque payload and is pulled by external
+// consumers via Lease/LeaseWait, which grant exclusive, heartbeat-renewed
+// ownership for the queue's lease TTL. Complete and Fail resolve the
+// lease; a lease whose heartbeats lapse (ExpireLeases) puts the job back
+// at the front of its lane and counts an attempt, until the retry budget
+// is spent and the job fails with *RetryExhaustedError. The submitter
+// observes the whole lifecycle through a Ticket and an optional per-job
+// event callback. When a lease executor is installed (SetLeaseExecutor)
+// the queue's fixed worker pool runs jobs too, so a queue with no
+// external consumers still makes progress.
 //
 // The queue runs jobs, it does not time them out: each job carries the
 // context it was submitted with, so per-job deadlines (which keep
 // ticking while the job waits in the backlog — and while it is leased)
-// are enforced by the job's own Run function, by the solvers' context
-// plumbing, and, for leasable jobs, by the cull in Lease/ExpireLeases
-// that resolves a dead-context job without handing it to anyone.
+// are enforced by the executor, by the solvers' context plumbing, and by
+// the cull in the pool, Lease and ExpireLeases that resolves a
+// dead-context job without handing it to anyone.
 package jobq
 
 import (
@@ -119,10 +118,9 @@ func (e *RetryExhaustedError) Unwrap() error { return e.Last }
 
 type job struct {
 	ctx    context.Context
-	cancel context.CancelFunc        // non-nil only for restored deadline contexts
-	run    func(ctx context.Context) // push job; nil for leasable jobs
+	cancel context.CancelFunc // non-nil only for restored deadline contexts
 
-	// Leasable-job state, guarded by the queue mutex.
+	// Lease state, guarded by the queue mutex.
 	id        uint64 // journal identity; 0 = never journaled
 	pri       Priority
 	payload   any
@@ -133,8 +131,6 @@ type job struct {
 	leaseExp  time.Time
 	grantedAt time.Time
 }
-
-func (j *job) leasable() bool { return j.ticket != nil }
 
 // Ticket is the submitter's handle on a leasable job: Done closes when
 // the job reaches a terminal state, after which Outcome returns the
@@ -198,7 +194,7 @@ type LeaseEventKind int
 
 const (
 	// LeaseGranted: the job was handed to a consumer (Local reports a
-	// push-pool run rather than an external lease).
+	// worker-pool run rather than an external lease).
 	LeaseGranted LeaseEventKind = iota
 	// LeaseRequeued: the lease lapsed (or failed retryably) and the job
 	// went back to the front of its lane. Err carries the reason.
@@ -222,7 +218,7 @@ const (
 type LeaseEvent struct {
 	Kind    LeaseEventKind
 	Attempt int
-	Local   bool // grant went to the local push pool, not an external lease
+	Local   bool // grant went to the local worker pool, not an external lease
 	Result  any  // LeaseCompleted only
 	Err     error
 }
@@ -230,11 +226,11 @@ type LeaseEvent struct {
 // Stats is a point-in-time snapshot of the queue.
 type Stats struct {
 	Queued      [numLanes]int // backlog per lane (High, Normal, Low)
-	Running     int           // push-pool executions in flight
+	Running     int           // worker-pool executions in flight
 	Leased      int           // active external leases
 	Outstanding int           // leasable jobs not yet terminal (queued, leased, or running)
 	Executed    int64
-	Rejected    int64 // Submit calls failed with ErrFull
+	Rejected    int64 // submissions failed with ErrFull
 	AvgJobDur   time.Duration
 }
 
@@ -317,11 +313,11 @@ func (q *Queue) SetLeasePolicy(ttl time.Duration, maxAttempts int) {
 	}
 }
 
-// SetLeaseExecutor lets the push pool run leasable jobs too: when no
-// external consumer leases a job first, a pool worker executes fn on its
-// payload and resolves the ticket with the outcome — so a queue with
-// zero external consumers still drains leasable work. A nil fn restores
-// pull-only behavior.
+// SetLeaseExecutor lets the worker pool run jobs: when no external
+// consumer leases a job first, a pool worker executes fn on its payload
+// and resolves the ticket with the outcome — so a queue with zero
+// external consumers still drains its work. A nil fn restores pull-only
+// behavior.
 func (q *Queue) SetLeaseExecutor(fn func(ctx context.Context, payload any) (any, error)) {
 	q.mu.Lock()
 	q.leaseExec = fn
@@ -329,37 +325,12 @@ func (q *Queue) SetLeaseExecutor(fn func(ctx context.Context, payload any) (any,
 	q.mu.Unlock()
 }
 
-// Submit enqueues run in the lane for pri. The context travels with the
-// job and is handed to run when a worker picks it up — a deadline on it
-// keeps counting down while the job waits. Returns ErrFull when the
-// backlog is at capacity and ErrDraining after Drain has begun.
-func (q *Queue) Submit(ctx context.Context, pri Priority, run func(ctx context.Context)) error {
-	if pri < High || pri > Low {
-		return fmt.Errorf("jobq: invalid priority %d", int(pri))
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.draining {
-		return ErrDraining
-	}
-	if q.queued >= q.capacity {
-		q.rejected++
-		return ErrFull
-	}
-	q.lanes[pri] = append(q.lanes[pri], &job{ctx: ctx, run: run, pri: pri})
-	q.queued++
-	q.cond.Broadcast()
-	return nil
-}
-
 // SubmitLeasable enqueues a pull-mode job: payload travels to whichever
 // consumer leases it (or to the lease executor). onEvent, if non-nil,
 // observes every lifecycle transition; it runs under the queue lock and
 // must not call back into the Queue. The returned Ticket resolves when
-// the job is terminal. Capacity and drain rules match Submit.
+// the job is terminal. When the backlog is at capacity it returns
+// ErrFull, and after Drain has begun ErrDraining.
 //
 // With a journal attached (AttachJournal), the accept is ack-gated: the
 // Ticket is returned only after the accept record is durable, so a
@@ -438,7 +409,7 @@ func (q *Queue) SubmitLeasable(ctx context.Context, pri Priority, payload any, o
 // "skip every record for this job".
 //
 // Submissions during drain are refused with ErrDraining even though
-// push-mode workers may still be running: once the queue is draining,
+// pool workers may still be running: once the queue is draining,
 // workers exit as soon as the backlog empties, and a sub-lease enqueued
 // after that would hang forever. Callers fall back to inline execution —
 // which, by the chunk determinism contract, produces identical bytes.
@@ -518,7 +489,7 @@ func (q *Queue) cullLocked() int {
 	for lane := range q.lanes {
 		kept := q.lanes[lane][:0]
 		for _, j := range q.lanes[lane] {
-			if j.leasable() && j.ctx.Err() != nil {
+			if j.ctx.Err() != nil {
 				q.queued--
 				q.resolveLocked(j, nil, j.ctx.Err(), LeaseExpired)
 				n++
@@ -535,36 +506,19 @@ func (q *Queue) cullLocked() int {
 	return n
 }
 
-// pickLocked removes and returns the next job for a consumer that can
-// run push jobs (wantPush) and/or leasable jobs (wantLease): strict
-// priority with the fairShare starvation guard, FIFO within a lane.
-func (q *Queue) pickLocked(wantPush, wantLease bool) *job {
-	eligible := func(j *job) bool {
-		if j.leasable() {
-			return wantLease
-		}
-		return wantPush
-	}
-	var idx [numLanes]int
-	for lane := range q.lanes {
-		idx[lane] = -1
-		for i, j := range q.lanes[lane] {
-			if eligible(j) {
-				idx[lane] = i
-				break
-			}
-		}
-	}
+// pickLocked removes and returns the next job: strict priority with
+// the fairShare starvation guard, FIFO within a lane.
+func (q *Queue) pickLocked() *job {
 	chosen := -1
 	for lane := range q.lanes {
-		if idx[lane] >= 0 && q.starve[lane] >= fairShare {
+		if len(q.lanes[lane]) > 0 && q.starve[lane] >= fairShare {
 			chosen = lane
 			break
 		}
 	}
 	if chosen < 0 {
 		for lane := range q.lanes {
-			if idx[lane] >= 0 {
+			if len(q.lanes[lane]) > 0 {
 				chosen = lane
 				break
 			}
@@ -573,11 +527,11 @@ func (q *Queue) pickLocked(wantPush, wantLease bool) *job {
 	if chosen < 0 {
 		return nil
 	}
-	i := idx[chosen]
-	j := q.lanes[chosen][i]
-	copy(q.lanes[chosen][i:], q.lanes[chosen][i+1:])
-	q.lanes[chosen][len(q.lanes[chosen])-1] = nil
-	q.lanes[chosen] = q.lanes[chosen][:len(q.lanes[chosen])-1]
+	lane := q.lanes[chosen]
+	j := lane[0]
+	copy(lane, lane[1:])
+	lane[len(lane)-1] = nil
+	q.lanes[chosen] = lane[:len(lane)-1]
 	q.queued--
 	q.starve[chosen] = 0
 	for lane := range q.lanes {
@@ -588,7 +542,9 @@ func (q *Queue) pickLocked(wantPush, wantLease bool) *job {
 	return j
 }
 
-// worker executes jobs until drain empties the backlog.
+// worker runs the lease executor on queued jobs until drain empties the
+// backlog. Without an executor it only waits: jobs are left for external
+// consumers (Lease/LeaseWait).
 func (q *Queue) worker() {
 	defer q.wg.Done()
 	for {
@@ -596,7 +552,9 @@ func (q *Queue) worker() {
 		var j *job
 		for {
 			q.cullLocked()
-			j = q.pickLocked(true, q.leaseExec != nil)
+			if q.leaseExec != nil {
+				j = q.pickLocked()
+			}
 			if j != nil {
 				break
 			}
@@ -606,53 +564,39 @@ func (q *Queue) worker() {
 			}
 			q.cond.Wait()
 		}
-		if j.leasable() {
-			j.attempts++
-			exec := q.leaseExec
-			q.running++
-			q.journalAsyncLocked(opGrant, j)
-			q.emitLocked(j, LeaseEvent{Kind: LeaseGranted, Attempt: j.attempts, Local: true})
-			q.mu.Unlock()
-
-			start := time.Now()
-			result, err := runLeaseExec(exec, j.ctx, j.payload)
-			dur := time.Since(start)
-
-			q.mu.Lock()
-			q.running--
-			q.executed++
-			q.observeLocked(dur)
-			if err != nil {
-				kind := LeaseFailed
-				if j.ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-					kind = LeaseExpired
-				}
-				q.resolveLocked(j, nil, err, kind)
-			} else {
-				q.resolveLocked(j, result, nil, LeaseCompleted)
-			}
-			q.mu.Unlock()
-			continue
-		}
+		j.attempts++
+		exec := q.leaseExec
 		q.running++
+		q.journalAsyncLocked(opGrant, j)
+		q.emitLocked(j, LeaseEvent{Kind: LeaseGranted, Attempt: j.attempts, Local: true})
 		q.mu.Unlock()
 
 		start := time.Now()
-		j.run(j.ctx)
+		result, err := runLeaseExec(exec, j.ctx, j.payload)
 		dur := time.Since(start)
 
 		q.mu.Lock()
 		q.running--
 		q.executed++
 		q.observeLocked(dur)
+		switch {
+		case err == nil:
+			q.resolveLocked(j, result, nil, LeaseCompleted)
+		case j.ctx.Err() != nil:
+			// As in Fail: a job whose own context ended is expired,
+			// whatever shape the executor gave the error.
+			q.resolveLocked(j, nil, j.ctx.Err(), LeaseExpired)
+		default:
+			q.resolveLocked(j, nil, err, LeaseFailed)
+		}
 		q.mu.Unlock()
 	}
 }
 
-// runLeaseExec runs the lease executor with the panic/expiry guards the
-// push pool needs: a dead job context short-circuits without invoking
-// the executor, and an executor panic becomes a job failure rather than
-// a dead pool worker.
+// runLeaseExec runs the lease executor with the pool's panic/expiry
+// guards: a dead job context short-circuits without invoking the
+// executor, and an executor panic becomes a job failure rather than a
+// dead pool worker.
 func runLeaseExec(exec func(ctx context.Context, payload any) (any, error), ctx context.Context, payload any) (result any, err error) {
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
@@ -690,7 +634,7 @@ func (q *Queue) Lease() (*Lease, bool) {
 
 func (q *Queue) leaseLocked() (*Lease, bool) {
 	q.cullLocked()
-	j := q.pickLocked(false, true)
+	j := q.pickLocked()
 	if j == nil {
 		return nil, false
 	}
@@ -857,10 +801,10 @@ func (q *Queue) ExpireLeases() int {
 	return n
 }
 
-// Drain stops intake and waits until every accepted job — push jobs
-// queued or running, and leasable jobs queued, leased, or retrying — has
-// reached a terminal state, or until ctx expires. After Drain begins,
-// Submit returns ErrDraining while Lease keeps serving: accepted work
+// Drain stops intake and waits until every accepted job — queued,
+// running in the pool, leased, or retrying — has reached a terminal
+// state, or until ctx expires. After Drain begins, SubmitLeasable
+// returns ErrDraining while Lease keeps serving: accepted work
 // must finish wherever it runs. Drain is idempotent; concurrent calls
 // all wait for the same completion.
 func (q *Queue) Drain(ctx context.Context) error {

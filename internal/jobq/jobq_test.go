@@ -8,8 +8,23 @@ import (
 	"time"
 )
 
+// newFnQueue starts a queue whose worker pool runs func(context.Context)
+// payloads through the lease executor, and returns it with the helper
+// that submits one such function as a job.
+func newFnQueue(capacity, workers int) (*Queue, func(ctx context.Context, pri Priority, fn func(context.Context)) error) {
+	q := New(capacity, workers)
+	q.SetLeaseExecutor(func(ctx context.Context, payload any) (any, error) {
+		payload.(func(context.Context))(ctx)
+		return nil, nil
+	})
+	return q, func(ctx context.Context, pri Priority, fn func(context.Context)) error {
+		_, err := q.SubmitLeasable(ctx, pri, fn, nil)
+		return err
+	}
+}
+
 func TestPriorityOrdering(t *testing.T) {
-	q := New(16, 1)
+	q, submit := newFnQueue(16, 1)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var mu sync.Mutex
@@ -17,7 +32,7 @@ func TestPriorityOrdering(t *testing.T) {
 
 	// Occupy the single worker so the next submissions pile up in the
 	// backlog, then release and observe drain order.
-	if err := q.Submit(nil, Normal, func(context.Context) {
+	if err := submit(nil, Normal, func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
@@ -38,7 +53,7 @@ func TestPriorityOrdering(t *testing.T) {
 	}{
 		{Low, "low1"}, {Low, "low2"}, {Normal, "norm1"}, {High, "high1"}, {Normal, "norm2"}, {High, "high2"},
 	} {
-		if err := q.Submit(nil, s.pri, record(s.name)); err != nil {
+		if err := submit(nil, s.pri, record(s.name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,25 +73,25 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestCapacityBackpressure(t *testing.T) {
-	q := New(2, 1)
+	q, submit := newFnQueue(2, 1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if err := q.Submit(nil, Normal, func(context.Context) {
+	if err := submit(nil, Normal, func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy; backlog empty
-	if err := q.Submit(nil, Normal, func(context.Context) {}); err != nil {
+	if err := submit(nil, Normal, func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Submit(nil, High, func(context.Context) {}); err != nil {
+	if err := submit(nil, High, func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
 	// Backlog now at capacity 2: next submission must fail fast,
 	// whatever its priority.
-	if err := q.Submit(nil, High, func(context.Context) {}); !errors.Is(err, ErrFull) {
+	if err := submit(nil, High, func(context.Context) {}); !errors.Is(err, ErrFull) {
 		t.Fatalf("got %v, want ErrFull", err)
 	}
 	if ra := q.RetryAfter(); ra < time.Second {
@@ -95,13 +110,13 @@ func TestCapacityBackpressure(t *testing.T) {
 }
 
 func TestDrainCompletesBacklogAndRejectsNew(t *testing.T) {
-	q := New(64, 2)
+	q, submit := newFnQueue(64, 2)
 	var mu sync.Mutex
 	ran := 0
 	slow := make(chan struct{})
 	started := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
-		if err := q.Submit(nil, Normal, func(context.Context) {
+		if err := submit(nil, Normal, func(context.Context) {
 			started <- struct{}{}
 			<-slow
 			mu.Lock()
@@ -115,7 +130,7 @@ func TestDrainCompletesBacklogAndRejectsNew(t *testing.T) {
 	<-started
 	// Both workers are mid-job; queue more work behind them.
 	for i := 0; i < 5; i++ {
-		if err := q.Submit(nil, Low, func(context.Context) {
+		if err := submit(nil, Low, func(context.Context) {
 			mu.Lock()
 			ran++
 			mu.Unlock()
@@ -128,7 +143,7 @@ func TestDrainCompletesBacklogAndRejectsNew(t *testing.T) {
 	// Intake must close as soon as drain begins, even while jobs run.
 	deadline := time.After(2 * time.Second)
 	for {
-		err := q.Submit(nil, Normal, func(context.Context) {})
+		err := submit(nil, Normal, func(context.Context) {})
 		if errors.Is(err, ErrDraining) {
 			break
 		}
@@ -154,10 +169,10 @@ func TestDrainCompletesBacklogAndRejectsNew(t *testing.T) {
 }
 
 func TestDrainHonorsContext(t *testing.T) {
-	q := New(4, 1)
+	q, submit := newFnQueue(4, 1)
 	hung := make(chan struct{})
 	started := make(chan struct{})
-	if err := q.Submit(nil, Normal, func(context.Context) {
+	if err := submit(nil, Normal, func(context.Context) {
 		close(started)
 		<-hung
 	}); err != nil {
@@ -176,11 +191,11 @@ func TestDrainHonorsContext(t *testing.T) {
 }
 
 func TestJobContextTravels(t *testing.T) {
-	q := New(4, 1)
+	q, submit := newFnQueue(4, 1)
 	type key struct{}
 	ctx := context.WithValue(context.Background(), key{}, "v")
 	got := make(chan any, 1)
-	if err := q.Submit(ctx, Normal, func(jctx context.Context) {
+	if err := submit(ctx, Normal, func(jctx context.Context) {
 		got <- jctx.Value(key{})
 	}); err != nil {
 		t.Fatal(err)
@@ -194,8 +209,8 @@ func TestJobContextTravels(t *testing.T) {
 }
 
 func TestInvalidPriority(t *testing.T) {
-	q := New(1, 1)
-	if err := q.Submit(nil, Priority(9), func(context.Context) {}); err == nil {
+	q, submit := newFnQueue(1, 1)
+	if err := submit(nil, Priority(9), func(context.Context) {}); err == nil {
 		t.Fatal("invalid priority accepted")
 	}
 	if _, err := ParsePriority("urgent"); err == nil {
@@ -216,7 +231,7 @@ func TestInvalidPriority(t *testing.T) {
 // every accepted job must execute exactly once and the counters must add
 // up.
 func TestParallelSubmitters(t *testing.T) {
-	q := New(32, 4)
+	q, submit := newFnQueue(32, 4)
 	var mu sync.Mutex
 	acceptedN, rejectedN, ranN := 0, 0, 0
 	var wg sync.WaitGroup
@@ -225,7 +240,7 @@ func TestParallelSubmitters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				err := q.Submit(nil, Priority(i%3), func(context.Context) {
+				err := submit(nil, Priority(i%3), func(context.Context) {
 					mu.Lock()
 					ranN++
 					mu.Unlock()

@@ -17,9 +17,9 @@
 //     because replay treats a granted-but-unresolved job as leased at
 //     crash time and requeues it without burning the attempt.
 //
-// Records are JSON payloads inside the WAL's CRC-framed records. The
-// journal only covers leasable jobs: push jobs carry closures, which
-// cannot be replayed, and their submitters hold no ticket to honor.
+// Records are JSON payloads inside the WAL's CRC-framed records.
+// Sub-leases (SubmitSubLease) are never journaled: their parent job
+// re-derives them on recovery.
 package jobq
 
 import (
@@ -99,9 +99,9 @@ func (q *Queue) JournalErrs() int64 { return q.journalErrs.Load() }
 // appendJournalLocked buffers one record for j into the journal, in the
 // same critical section as the in-memory transition so journal order
 // equals state order. Returns a nil Commit when no journal is attached
-// or j is not journaled (push job, pre-attach job). Caller holds q.mu.
+// or j is not journaled (sub-lease, pre-attach job). Caller holds q.mu.
 func (q *Queue) appendJournalLocked(op string, j *job, payload json.RawMessage, deadline int64) (*wal.Commit, error) {
-	if q.jrnl == nil || !j.leasable() || j.id == 0 {
+	if q.jrnl == nil || j.id == 0 {
 		return nil, nil
 	}
 	rec := journalRec{Op: op, ID: j.id, Attempt: j.attempts}
@@ -164,7 +164,7 @@ func (q *Queue) CheckpointJournal() error {
 	}
 	for lane := range q.lanes {
 		for _, j := range q.lanes[lane] {
-			if j.leasable() && j.id != 0 {
+			if j.id != 0 {
 				if err := add(j, false); err != nil {
 					return err
 				}

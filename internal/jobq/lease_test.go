@@ -419,3 +419,41 @@ func TestLeaseExecutorPanicFailsJobNotPool(t *testing.T) {
 		t.Fatalf("job after panic = (%v, %v), want (ok, nil)", res, err)
 	}
 }
+
+// TestLeaseExecutorErrorPastDeadlineIsExpired pins the pool's expiry
+// rule, which matches Fail's: an executor error on a job whose own
+// context has ended resolves the job as expired with the context error,
+// whatever shape the executor gave the error. A live-context error is a
+// plain failure.
+func TestLeaseExecutorErrorPastDeadlineIsExpired(t *testing.T) {
+	q := New(8, 1)
+	defer q.Drain(context.Background())
+	q.SetLeaseExecutor(func(ctx context.Context, payload any) (any, error) {
+		if payload == "slow" {
+			<-ctx.Done()
+		}
+		return nil, errors.New("executor gave up")
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	var kinds []LeaseEventKind
+	slow, err := q.SubmitLeasable(ctx, Normal, "slow", func(ev LeaseEvent) { kinds = append(kinds, ev.Kind) })
+	if err != nil {
+		t.Fatalf("SubmitLeasable: %v", err)
+	}
+	if _, err := waitTicket(t, slow); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("slow job error = %v, want DeadlineExceeded", err)
+	}
+	if want := []LeaseEventKind{LeaseGranted, LeaseExpired}; fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("events = %v, want %v", kinds, want)
+	}
+
+	live, err := q.SubmitLeasable(context.Background(), Normal, "fast", nil)
+	if err != nil {
+		t.Fatalf("SubmitLeasable: %v", err)
+	}
+	if _, err := waitTicket(t, live); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("live-context failure = %v, want the executor's error", err)
+	}
+}

@@ -1,11 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -144,45 +144,94 @@ func TestDispatchServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDispatchLocalExecMatchesInProcessPath pins the hybrid default
-// against PR 4 semantics: a coordinator with LocalExec and zero remote
-// workers must answer exactly like the plain in-process server — same
-// result fields, modulo the Runtime wall clock the dispatch path zeroes.
-func TestDispatchLocalExecMatchesInProcessPath(t *testing.T) {
+// TestPlainServerResultBytesMatchExecuteSpec pins the one execution
+// path: a plain server's stored result is exactly the canonical bytes
+// dispatch.ExecuteSpec produces for the same spec, with no field removed
+// (Runtime included) — so one content key maps to one byte string on
+// every node of a fleet.
+func TestPlainServerResultBytesMatchExecuteSpec(t *testing.T) {
+	opts := Options{Workers: 1, DefaultTimeout: time.Minute, MaxTimeout: time.Minute}
 	body := marshalReq(t, map[string]any{
 		"tree":   smallTreeJSON(t, 12),
 		"config": fastConfig(),
 	})
+	h := newHarness(t, opts)
+	code, resp := h.post(body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %v", code, resp)
+	}
+	id := jobID(t, resp)
+	if v := h.waitJob(id, 30*time.Second); v.Status != StatusDone {
+		t.Fatalf("job status = %s (error %q)", v.Status, v.Error)
+	}
+	_, got := h.resultBody(id)
 
-	runOne := func(opts Options) map[string]any {
+	req, apiErr := decodeOptimizeRequest(body, opts.withDefaults())
+	if apiErr != nil {
+		t.Fatalf("decode: %+v", apiErr)
+	}
+	out, err := dispatch.ExecuteSpec(context.Background(), &dispatch.JobSpec{
+		Tree: req.tree, Config: req.cfg, Modes: req.modes, Key: req.key,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, out.ResultJSON) {
+		t.Errorf("plain server result differs from ExecuteSpec bytes:\nserver:      %s\nExecuteSpec: %s", got, out.ResultJSON)
+	}
+}
+
+// TestDurableServerCountsLocalSolves pins the solver-run accounting on
+// the durable path: a cold job executed by the local executor counts
+// once, and a cache-hit resubmission does not count again.
+func TestDurableServerCountsLocalSolves(t *testing.T) {
+	h := newHarness(t, Options{Workers: 1, DataDir: t.TempDir()})
+	t.Cleanup(func() { _ = h.srv.Drain(context.Background()) })
+	body := marshalReq(t, map[string]any{
+		"tree":   smallTreeJSON(t, 8),
+		"config": fastConfig(),
+	})
+	code, resp := h.post(body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %v", code, resp)
+	}
+	if v := h.waitJob(jobID(t, resp), 30*time.Second); v.Status != StatusDone {
+		t.Fatalf("job status = %s (error %q)", v.Status, v.Error)
+	}
+	if got := h.srv.MetricsSnapshot().SolverRuns; got != 1 {
+		t.Fatalf("after one cold job: SolverRuns = %d, want 1", got)
+	}
+	code, resp = h.post(body)
+	if code != http.StatusOK || resp["cacheHit"] != true {
+		t.Fatalf("resubmit: status %d, cacheHit %v; want 200 cached", code, resp["cacheHit"])
+	}
+	if got := h.srv.MetricsSnapshot().SolverRuns; got != 1 {
+		t.Fatalf("after a cache hit: SolverRuns = %d, want 1", got)
+	}
+}
+
+// TestDispatchEndpointsOnlyOnFleetCoordinators pins the lease surface:
+// a serve node — plain or durable — executes locally and mounts no
+// /v1/dispatch/* endpoints; a server with Options.Dispatch does.
+func TestDispatchEndpointsOnlyOnFleetCoordinators(t *testing.T) {
+	leaseStatus := func(opts Options) int {
 		h := newHarness(t, opts)
-		code, resp := h.post(body)
-		if code != http.StatusAccepted {
-			t.Fatalf("submit: status %d: %v", code, resp)
-		}
-		id := resp["jobId"].(string)
-		if v := h.waitJob(id, 30*time.Second); v.Status != StatusDone {
-			t.Fatalf("job status = %s (error %q)", v.Status, v.Error)
-		}
-		_, rb := h.get("/v1/jobs/" + id + "/result")
-		var rres struct {
-			Result map[string]any `json:"result"`
-		}
-		if err := json.Unmarshal(rb, &rres); err != nil {
+		t.Cleanup(func() { _ = h.srv.Drain(context.Background()) })
+		resp, err := http.Post(h.ts.URL+"/v1/dispatch/lease", "application/json",
+			strings.NewReader(`{"workerId":"w-probe","waitMs":0}`))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return rres.Result
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-
-	plain := runOne(Options{Workers: 1, DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
-	hybrid := runOne(Options{Workers: 1, DefaultTimeout: time.Minute, MaxTimeout: time.Minute,
-		Dispatch: &dispatch.Options{LocalExec: true}})
-
-	// Runtime is the one legitimate difference: wall clock on the local
-	// path, canonically zero on the dispatch path.
-	delete(plain, "Runtime")
-	delete(hybrid, "Runtime")
-	if !reflect.DeepEqual(plain, hybrid) {
-		t.Errorf("hybrid result diverged from the in-process path:\nplain:  %v\nhybrid: %v", plain, hybrid)
+	if got := leaseStatus(Options{}); got != http.StatusNotFound {
+		t.Errorf("plain server: lease status %d, want 404", got)
+	}
+	if got := leaseStatus(Options{DataDir: t.TempDir()}); got != http.StatusNotFound {
+		t.Errorf("durable server without Dispatch: lease status %d, want 404", got)
+	}
+	if got := leaseStatus(Options{Dispatch: &dispatch.Options{}}); got != http.StatusNoContent {
+		t.Errorf("fleet coordinator with an empty queue: lease status %d, want 204", got)
 	}
 }

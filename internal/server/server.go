@@ -1,7 +1,9 @@
 // Package server is the wavemind batch optimization service: an HTTP
-// JSON API over the wavemin facade, backed by a bounded prioritized job
-// queue (internal/jobq) and a content-addressed LRU result cache
-// (internal/rescache).
+// JSON API over the wavemin facade, backed by a dispatch coordinator
+// (internal/dispatch) over a bounded prioritized job queue
+// (internal/jobq), and a content-addressed LRU result cache
+// (internal/rescache). Every job runs through the coordinator; a serve
+// node's executes locally only.
 //
 // Endpoints:
 //
@@ -65,11 +67,12 @@ type Options struct {
 	MaxJobs          int           // finished job records retained (default 4096)
 	MaxSolverWorkers int           // cap on per-job solver parallelism (0 = uncapped)
 	Debug            bool          // mount /debug/vars and /debug/pprof
-	// Dispatch, when non-nil, runs the server as a dispatch coordinator:
-	// jobs are enqueued as leasable work that `wavemind -role=worker`
-	// processes pull over /v1/dispatch/*, and (with Dispatch.LocalExec)
-	// the local pool still executes whatever no worker claims. Nil — the
-	// default — keeps the PR 4 in-process path exactly as it was.
+	// Dispatch, when non-nil, runs the server as a fleet coordinator: the
+	// /v1/dispatch/* lease protocol is mounted so `wavemind -role=worker`
+	// processes can pull jobs, and (with Dispatch.LocalExec) the local
+	// pool still executes whatever no worker claims. Every job runs
+	// through a dispatch coordinator either way: nil — the default —
+	// builds a local-only one ({LocalExec: true}) that accepts no leases.
 	Dispatch *dispatch.Options
 
 	// DataDir, when set, makes the server crash-safe: accepted jobs are
@@ -77,9 +80,9 @@ type Options struct {
 	// acknowledged, results are persisted to the content-addressed store
 	// under DataDir/store before completions are acknowledged, and a
 	// restart replays both — the backlog is re-enqueued (attempts, lane
-	// order, and deadlines preserved) and cached results survive. DataDir
-	// implies the dispatch path (jobs must be serializable to replay);
-	// when Dispatch is nil it defaults to local-only execution.
+	// order, and deadlines preserved) and cached results survive. The
+	// journal carries the coordinator's serializable JobSpecs; with
+	// Dispatch nil they execute locally only.
 	DataDir string
 	// Fsync is the journal durability policy: "batch" (group-commit
 	// fsync, the default), "always" (fsync per record), or "none" (OS
@@ -246,7 +249,7 @@ type jobView struct {
 // "wavemin" expvar map as server_* entries).
 type Metrics struct {
 	Submitted        int64
-	SolverRuns       int64 // jobs that actually invoked Design.Optimize
+	SolverRuns       int64 // Design.Optimize calls in this process: local job executions plus yield candidates
 	CacheHits        int64
 	CacheMisses      int64
 	Completed        int64
@@ -272,7 +275,7 @@ type Metrics struct {
 	// Yield-mode counters; zero until a yield request arrives.
 	YieldJobs         int64 // yield runs started
 	YieldChunks       int64 // sample chunks dispatched as sub-leases
-	YieldChunksInline int64 // chunks evaluated inline (no coordinator, or drain/full fallback)
+	YieldChunksInline int64 // chunks evaluated inline (queue full or draining)
 	YieldSamplesSaved int64 // budgeted samples early stopping never spent
 	YieldEarlyStops   int64 // yield runs that stopped before the full budget
 
@@ -327,8 +330,8 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux, wrapped (when sharded) in the version-piggyback middleware
 
-	coord      *dispatch.Coordinator // non-nil iff Options.Dispatch was set
-	dispatchWG sync.WaitGroup        // finishDispatched goroutines in flight
+	coord      *dispatch.Coordinator // runs every optimization job
+	dispatchWG sync.WaitGroup        // finishJob and yield-driver goroutines in flight
 
 	// yieldSem bounds concurrent yield drivers (Options.YieldMaxConcurrent):
 	// each driver fans out chunk sub-leases, and the semaphore is what
@@ -374,12 +377,6 @@ type Server struct {
 // ready server has always finished recovery.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	if opts.DataDir != "" && opts.Dispatch == nil {
-		// Durability requires replayable jobs: the dispatch path carries
-		// serializable JobSpecs where the in-process path carries
-		// closures. LocalExec keeps execution in this process.
-		opts.Dispatch = &dispatch.Options{LocalExec: true}
-	}
 	s := &Server{
 		opts:     opts,
 		q:        jobq.New(opts.QueueCapacity, opts.Workers),
@@ -395,17 +392,17 @@ func New(opts Options) (*Server, error) {
 	} else if len(opts.Peers) != 0 {
 		return nil, fmt.Errorf("server: Peers set without ShardMap (sharding needs ShardMap, ShardID, and Peers together)")
 	}
-	var dopts dispatch.Options
+	dopts := dispatch.Options{LocalExec: true}
 	if opts.Dispatch != nil {
 		dopts = *opts.Dispatch
-		if dopts.SolverWorkers == 0 {
-			dopts.SolverWorkers = opts.MaxSolverWorkers
-		}
-		if s.sh != nil && dopts.ShardLabel == "" {
-			// The label names the map epoch too, and follows every
-			// adoption (Coordinator.SetShardLabel in adoptMap).
-			dopts.ShardLabel = shardLabel(s.sh.id, s.sh.Map().Version)
-		}
+	}
+	if dopts.SolverWorkers == 0 {
+		dopts.SolverWorkers = opts.MaxSolverWorkers
+	}
+	if s.sh != nil && dopts.ShardLabel == "" {
+		// The label names the map epoch too, and follows every
+		// adoption (Coordinator.SetShardLabel in adoptMap).
+		dopts.ShardLabel = shardLabel(s.sh.id, s.sh.Map().Version)
 	}
 
 	var backing rescache.Backing
@@ -489,12 +486,12 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 
-	if opts.Dispatch != nil {
-		s.coord = dispatch.NewCoordinator(s.q, dopts)
-	}
+	s.coord = dispatch.NewCoordinator(s.q, dopts)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	if s.coord != nil {
+	if opts.Dispatch != nil {
+		// Only a fleet coordinator accepts leases; a serve node, durable
+		// or not, executes everything itself.
 		s.coord.Register(mux)
 	}
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
@@ -584,45 +581,30 @@ func (s *Server) restoreJobs(recs []jobq.RecoveredJob, lastID uint64) error {
 		if !ok {
 			return fmt.Errorf("server: recovered job %d: unexpected payload %T", rj.ID, rj.Payload)
 		}
-		j := s.reattachJob(spec.JobID, rj.Pri)
-		sl := &slot{j: j, spec: spec}
+		sl := &slot{j: s.reattachJob(spec.JobID, rj.Pri), spec: spec}
 		if spec.Trace {
 			// The pre-crash trace died with the process; recovered jobs
 			// get a fresh one covering the post-recovery attempts.
-			mem := &obs.Memory{}
-			sl.tr = obs.New(obs.Options{})
-			sl.tr.AttachSink(mem)
-			sl.tr.AttachSink(obs.ExpvarSink{})
-			j.mu.Lock()
-			j.trace = mem
-			j.mu.Unlock()
+			sl.tr = sl.j.attachTrace()
 		}
 		slots[rj.ID] = sl
 	}
 	tickets := s.q.Restore(recs, lastID, func(rj jobq.RecoveredJob) func(jobq.LeaseEvent) {
 		sl := slots[rj.ID]
 		traceFn := dispatch.TraceObserver(sl.tr)
-		j := sl.j
+		if traceFn == nil {
+			return sl.j.markRunning
+		}
 		return func(ev jobq.LeaseEvent) {
-			// Runs under the queue lock: job-record field writes only.
-			if traceFn != nil {
-				traceFn(ev)
-			}
-			if ev.Kind == jobq.LeaseGranted {
-				j.mu.Lock()
-				if j.status == StatusQueued {
-					j.status = StatusRunning
-					j.started = time.Now()
-				}
-				j.mu.Unlock()
-			}
+			traceFn(ev)
+			sl.j.markRunning(ev)
 		}
 	})
 	for i, rj := range recs {
 		sl := slots[rj.ID]
 		obs.ExpvarCounters().Add("server_jobs_recovered", 1)
 		s.dispatchWG.Add(1)
-		go s.finishDispatched(sl.j, sl.spec.Key, sl.spec.NoCache, sl.tr, tickets[i])
+		go s.finishJob(sl.j, sl.spec.Key, sl.spec.NoCache, sl.tr, tickets[i])
 	}
 	return nil
 }
@@ -701,9 +683,7 @@ func (s *Server) stopCheckpoints() {
 func (s *Server) Crash() {
 	s.stopGossip()
 	s.stopCheckpoints()
-	if s.coord != nil {
-		s.coord.Close()
-	}
+	s.coord.Close()
 	if s.wal != nil {
 		s.wal.Abort()
 	}
@@ -731,9 +711,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		// turn resolved tickets into job records and cache entries.
 		s.dispatchWG.Wait()
 	}
-	if s.coord != nil {
-		s.coord.Close()
-	}
+	s.coord.Close()
 	if err != nil {
 		// Backlog unfinished: leave the journal live so the state on disk
 		// stays crash-consistent and the next start recovers it.
@@ -761,8 +739,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Coordinator returns the dispatch coordinator, or nil when the server
-// runs pure in-process (Options.Dispatch unset).
+// Coordinator returns the dispatch coordinator every job runs through.
+// It serves leases only when Options.Dispatch was set; otherwise it is
+// the local-only executor.
 func (s *Server) Coordinator() *dispatch.Coordinator { return s.coord }
 
 // MetricsSnapshot returns the server's counters.
@@ -770,7 +749,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 	tiered := s.cache.Stats()
 	m := Metrics{
 		Submitted:        s.met.submitted.Load(),
-		SolverRuns:       s.met.solverRuns.Load(),
+		SolverRuns:       s.met.solverRuns.Load() + s.coord.MetricsSnapshot().LocalSolves,
 		CacheHits:        s.met.cacheHits.Load(),
 		CacheMisses:      s.met.cacheMisses.Load(),
 		Completed:        s.met.completed.Load(),
@@ -865,13 +844,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	deadline := time.Now().Add(req.timeout)
 	jctx, cancel := context.WithDeadline(context.Background(), deadline)
 	j.cancel = cancel
-	switch {
-	case req.yield != nil:
+	if req.yield != nil {
 		err = s.submitYield(jctx, j, req)
-	case s.coord != nil:
-		err = s.submitDispatched(jctx, j, req, deadline)
-	default:
-		err = s.q.Submit(jctx, req.pri, func(ctx context.Context) { s.runJob(ctx, j, req) })
+	} else {
+		err = s.submitJob(jctx, j, req, deadline)
 	}
 	if err != nil {
 		cancel()
@@ -1028,11 +1004,11 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// submitDispatched enqueues a job through the dispatch coordinator:
-// instead of a closure bound to this process, the queue carries a
-// serializable JobSpec that a remote worker (or the local executor) can
-// run — same deadlines, same cache policy, same canonical result bytes.
-func (s *Server) submitDispatched(jctx context.Context, j *job, req *optimizeRequest, deadline time.Time) error {
+// submitJob enqueues an optimization job on the dispatch coordinator as
+// a serializable JobSpec, which the local executor or (on a fleet
+// coordinator) a remote worker runs — same deadlines, same cache policy,
+// same canonical result bytes wherever it runs.
+func (s *Server) submitJob(jctx context.Context, j *job, req *optimizeRequest, deadline time.Time) error {
 	spec := &dispatch.JobSpec{
 		Tree:     req.tree,
 		Config:   req.cfg,
@@ -1045,38 +1021,23 @@ func (s *Server) submitDispatched(jctx context.Context, j *job, req *optimizeReq
 	}
 	var tr *obs.Trace
 	if req.trace {
-		mem := &obs.Memory{}
-		tr = obs.New(obs.Options{})
-		tr.AttachSink(mem)
-		tr.AttachSink(obs.ExpvarSink{})
-		j.mu.Lock()
-		j.trace = mem
-		j.mu.Unlock()
+		tr = j.attachTrace()
 		s.recordForwardHop(tr, req)
 	}
-	tk, err := s.coord.Submit(jctx, req.pri, spec, tr, func(ev jobq.LeaseEvent) {
-		// Runs under the queue lock: job-record field writes only.
-		if ev.Kind == jobq.LeaseGranted && ev.Attempt == 1 {
-			j.mu.Lock()
-			j.status = StatusRunning
-			j.started = time.Now()
-			j.mu.Unlock()
-		}
-	})
+	tk, err := s.coord.Submit(jctx, req.pri, spec, tr, j.markRunning)
 	if err != nil {
 		return err
 	}
 	s.dispatchWG.Add(1)
-	go s.finishDispatched(j, req.key, req.noCache, tr, tk)
+	go s.finishJob(j, req.key, req.noCache, tr, tk)
 	return nil
 }
 
-// finishDispatched waits for a dispatched job's ticket and lands the
-// outcome in the job record and (for clean, undegraded results) the
-// cache — the dispatch-path twin of runJob's tail. It takes the key and
-// cache policy rather than the request because recovered jobs have no
-// request: their spec is all that survived the crash.
-func (s *Server) finishDispatched(j *job, key string, noCache bool, tr *obs.Trace, tk *jobq.Ticket) {
+// finishJob waits for a job's ticket and lands the outcome in the job
+// record and (for clean, undegraded results) the cache. It takes the key
+// and cache policy rather than the request because recovered jobs have
+// no request: their spec is all that survived the crash.
+func (s *Server) finishJob(j *job, key string, noCache bool, tr *obs.Trace, tk *jobq.Ticket) {
 	defer s.dispatchWG.Done()
 	defer j.cancel()
 	<-tk.Done()
@@ -1084,32 +1045,19 @@ func (s *Server) finishDispatched(j *job, key string, noCache bool, tr *obs.Trac
 	if ferr := tr.Flush(); ferr != nil && err == nil {
 		err = fmt.Errorf("trace flush: %w", ferr)
 	}
-	if err != nil {
-		var rex *jobq.RetryExhaustedError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			bump(&s.met.expired, "server_jobs_expired")
-			j.finishErr(StatusExpired, err)
-		case errors.As(err, &rex):
-			bump(&s.met.failed, "server_jobs_failed")
-			j.finishErr(StatusFailed, err)
-		default:
-			bump(&s.met.failed, "server_jobs_failed")
-			j.finishErr(StatusFailed, err)
-		}
-		return
-	}
 	out, ok := result.(*dispatch.Outcome)
-	if !ok {
-		bump(&s.met.failed, "server_jobs_failed")
-		j.finishErr(StatusFailed, fmt.Errorf("dispatch: unexpected outcome %T", result))
+	if err == nil && !ok {
+		err = fmt.Errorf("dispatch: unexpected outcome %T", result)
+	}
+	if err != nil {
+		s.finishJobErr(j, err)
 		return
 	}
-	// Same cache policy as the local path: degraded results are what the
-	// deadline allowed, not the answer to the problem — never cache them.
-	// Memory tier only: on the dispatch path the bytes already reached
-	// the persistent store (when one is configured) before the
-	// completion was acknowledged.
+	// Degraded results are what the deadline allowed, not the answer to
+	// the problem — caching one would serve a worse tree to a future
+	// caller with a roomier budget. Memory tier only: with a result store
+	// configured the bytes reached it before the completion was
+	// acknowledged.
 	if !out.Degraded && !noCache {
 		s.cache.PutLocal(key, out.ResultJSON)
 		s.replicateResult(key, out.ResultJSON)
@@ -1127,6 +1075,18 @@ func (s *Server) finishDispatched(j *job, key string, noCache bool, tr *obs.Trac
 	j.mu.Unlock()
 }
 
+// finishJobErr lands a job failure: context exhaustion is an expiry,
+// everything else (retry exhaustion included) a failure.
+func (s *Server) finishJobErr(j *job, err error) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		bump(&s.met.expired, "server_jobs_expired")
+		j.finishErr(StatusExpired, err)
+		return
+	}
+	bump(&s.met.failed, "server_jobs_failed")
+	j.finishErr(StatusFailed, err)
+}
+
 func (s *Server) rejectDraining(w http.ResponseWriter) {
 	bump(&s.met.rejectedDraining, "server_rejected_draining")
 	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
@@ -1134,76 +1094,31 @@ func (s *Server) rejectDraining(w http.ResponseWriter) {
 	})
 }
 
-// runJob executes one queued job on a jobq worker.
-func (s *Server) runJob(ctx context.Context, j *job, req *optimizeRequest) {
-	defer j.cancel()
-	if ctx.Err() != nil {
-		// The deadline passed while the job sat in the backlog: surface
-		// the expiry without spending solver time on it.
-		bump(&s.met.expired, "server_jobs_expired")
-		j.finishErr(StatusExpired, ctx.Err())
-		return
-	}
+// attachTrace gives j a fresh trace that records into the job's memory
+// sink (served by the trace endpoint) and the expvar counters.
+func (j *job) attachTrace() *obs.Trace {
+	mem := &obs.Memory{}
+	tr := obs.New(obs.Options{})
+	tr.AttachSink(mem)
+	tr.AttachSink(obs.ExpvarSink{})
 	j.mu.Lock()
-	j.status = StatusRunning
-	j.started = time.Now()
+	j.trace = mem
 	j.mu.Unlock()
+	return tr
+}
 
-	var tr *obs.Trace
-	if req.trace {
-		mem := &obs.Memory{}
-		tr = obs.New(obs.Options{})
-		tr.AttachSink(mem)
-		tr.AttachSink(obs.ExpvarSink{})
-		j.mu.Lock()
-		j.trace = mem
-		j.mu.Unlock()
-		s.recordForwardHop(tr, req)
-		ctx = obs.Into(ctx, tr)
-	}
-
-	bump(&s.met.solverRuns, "server_solver_runs")
-	res, err := req.design.Optimize(ctx, req.cfg)
-	if ferr := tr.Flush(); ferr != nil && err == nil {
-		err = fmt.Errorf("trace flush: %w", ferr)
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			bump(&s.met.expired, "server_jobs_expired")
-			j.finishErr(StatusExpired, err)
-		} else {
-			bump(&s.met.failed, "server_jobs_failed")
-			j.finishErr(StatusFailed, err)
-		}
+// markRunning is the job's lease observer: the first grant flips the
+// record to running. It runs under the queue lock, so it writes
+// job-record fields only.
+func (j *job) markRunning(ev jobq.LeaseEvent) {
+	if ev.Kind != jobq.LeaseGranted {
 		return
 	}
-	// The stored Result is the semantic answer only: per-run telemetry is
-	// served by the trace endpoint and never enters the result bytes, so
-	// cache hits are byte-identical replays.
-	res.Stats = nil
-	blob, merr := json.Marshal(res)
-	if merr != nil {
-		bump(&s.met.failed, "server_jobs_failed")
-		j.finishErr(StatusFailed, merr)
-		return
-	}
-	// Degraded results are what the deadline allowed, not the answer to
-	// the problem — caching one would serve a worse tree to a future
-	// caller with a roomier budget.
-	if !res.Degraded && !req.noCache {
-		s.cache.Put(req.key, blob)
-		s.replicateResult(req.key, blob)
-	}
-	if !res.Degraded {
-		s.landZones(j, res.Zones, res.ZonesReused, res.ZonesResolved)
-	}
-	bump(&s.met.completed, "server_jobs_completed")
 	j.mu.Lock()
-	j.status = StatusDone
-	j.finished = time.Now()
-	j.resultJSON = blob
-	j.algorithmUsed = res.AlgorithmUsed
-	j.degraded = res.Degraded
+	if j.status == StatusQueued {
+		j.status = StatusRunning
+		j.started = time.Now()
+	}
 	j.mu.Unlock()
 }
 

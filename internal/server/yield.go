@@ -55,13 +55,7 @@ func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 	j.mu.Unlock()
 
 	if req.trace {
-		mem := &obs.Memory{}
-		tr := obs.New(obs.Options{})
-		tr.AttachSink(mem)
-		tr.AttachSink(obs.ExpvarSink{})
-		j.mu.Lock()
-		j.trace = mem
-		j.mu.Unlock()
+		tr := j.attachTrace()
 		s.recordForwardHop(tr, req)
 		ctx = obs.Into(ctx, tr)
 		defer tr.Flush()
@@ -80,25 +74,18 @@ func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 	obs.ExpvarCounters().Add("server_solver_runs", int64(p.Candidates))
 	cands, rejected, err := yield.GenerateCandidates(ctx, req.tree, req.cfg, req.modes, p)
 	if err != nil {
-		s.finishYieldErr(j, err)
+		s.finishJobErr(j, err)
 		return
 	}
 
-	var runner yield.Runner
-	if s.coord != nil {
-		runner = &fleetRunner{s: s, pri: req.pri, deadline: deadlineOf(ctx)}
-	} else {
-		runner = &yield.LocalRunner{Workers: req.cfg.Workers}
-	}
-	rep, err := yield.Run(ctx, cands, p, rejected, mode, runner)
+	rep, err := yield.Run(ctx, cands, p, rejected, mode, &fleetRunner{s: s, pri: req.pri, deadline: deadlineOf(ctx)})
 	if err != nil {
-		s.finishYieldErr(j, err)
+		s.finishJobErr(j, err)
 		return
 	}
 	blob, merr := json.Marshal(rep)
 	if merr != nil {
-		bump(&s.met.failed, "server_jobs_failed")
-		j.finishErr(StatusFailed, merr)
+		s.finishJobErr(j, merr)
 		return
 	}
 	// Yield reports are pure functions of (tree, config, modes, knobs) —
@@ -122,19 +109,6 @@ func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 	j.mu.Unlock()
 }
 
-// finishYieldErr classifies a yield failure the way runJob does: context
-// exhaustion (including a candidate solve degrading under the deadline)
-// is an expiry, everything else a failure.
-func (s *Server) finishYieldErr(j *job, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		bump(&s.met.expired, "server_jobs_expired")
-		j.finishErr(StatusExpired, err)
-		return
-	}
-	bump(&s.met.failed, "server_jobs_failed")
-	j.finishErr(StatusFailed, err)
-}
-
 // deadlineOf extracts ctx's deadline (zero time when none): sub-lease
 // specs carry it so workers bound chunk execution the same way the
 // driver is bound.
@@ -145,9 +119,10 @@ func deadlineOf(ctx context.Context) time.Time {
 	return time.Time{}
 }
 
-// fleetRunner fans a round's chunks out over the dispatch fleet as
-// sub-leases and folds the outcomes back into the slot order the driver
-// expects. Chunks refused by the queue (full, or draining) are evaluated
+// fleetRunner fans a round's chunks out as sub-leases on the dispatch
+// coordinator (remote workers on a fleet coordinator, the local pool on
+// a serve node) and folds the outcomes back into the slot order the
+// driver expects. Chunks refused by the queue (full, or draining) are evaluated
 // inline — the chunk determinism contract makes the fallback
 // byte-identical, so admission pressure can slow a yield run but never
 // change its answer.

@@ -47,8 +47,8 @@ func runYieldJob(t *testing.T, h *harness, body []byte) (jobView, json.RawMessag
 	return v, res
 }
 
-// TestYieldEndToEndLocal drives yield mode through the plain in-process
-// server: report shape, job decoration, early-stop metrics, and the
+// TestYieldEndToEndLocal drives yield mode through a plain server, whose
+// local-only coordinator runs the sample chunks: report shape, job decoration, early-stop metrics, and the
 // cache replay contract under the extended key.
 func TestYieldEndToEndLocal(t *testing.T) {
 	h := newHarness(t, Options{Workers: 2, DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
