@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%F)
 BENCH_LATEST = $(lastword $(sort $(filter-out BENCH_baseline.json,$(wildcard BENCH_*.json))))
 
-.PHONY: build test vet race check verify bench benchdiff cover e2e e2e-dispatch e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield test-flake fuzz-smoke
+.PHONY: build test vet race check verify bench benchdiff cover e2e e2e-dispatch e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield test-flake fuzz-smoke netloc
 
 build:
 	$(GO) build ./...
@@ -149,3 +149,22 @@ bench: build
 # hence the leading "-".
 benchdiff:
 	-$(GO) run ./scripts/benchdiff -threshold 25 BENCH_baseline.json $(BENCH_LATEST)
+
+# Net Go line count of the working tree against BASE, split into program
+# code and _test.go files — the figure a simplicity change reports.
+# PATHS narrows it to pathspecs (':(glob)*.go' is the root package).
+# Counts tracked files; `git add -N` new ones first. Informational only,
+# not part of `make check`.
+#   make netloc BASE=main
+#   make netloc BASE=main PATHS="':(glob)*.go' internal/server"
+netloc:
+	@test -n "$(BASE)" || { echo 'usage: make netloc BASE=<ref> [PATHS=<pathspecs>]'; exit 2; }
+	@git diff --numstat $(BASE) -- $(or $(PATHS),.) | awk ' \
+		$$3 !~ /\.go$$/ || $$1 == "-" { next } \
+		{ k = ($$3 ~ /_test\.go$$/) ? "test" : "code"; add[k] += $$1; del[k] += $$2 } \
+		END { \
+			printf "%-6s %8s %8s %8s\n", "go", "added", "removed", "net"; \
+			split("code test", ks, " "); \
+			for (i = 1; i <= 2; i++) { k = ks[i]; printf "%-6s %8d %8d %+8d\n", k, add[k], del[k], add[k] - del[k] } \
+			printf "%-6s %8d %8d %+8d\n", "total", add["code"] + add["test"], del["code"] + del["test"], add["code"] + add["test"] - del["code"] - del["test"] \
+		}'

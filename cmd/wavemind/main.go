@@ -81,9 +81,7 @@ func main() {
 		recoverBE  = flag.Bool("recover-best-effort", false, "salvage the valid journal prefix past mid-journal corruption instead of refusing to start")
 		storeBytes = flag.Int64("store-bytes", 256<<20, "persistent result store size bound, bytes (with -data-dir)")
 
-		eco            = flag.Bool("eco", false, "enable incremental re-optimization: record per-zone solutions and accept baseJobId deltas (durable under -data-dir)")
-		zoneCacheBytes = flag.Int64("zone-cache-bytes", 32<<20, "in-memory zone-solution cache bound, bytes (with -eco)")
-		zoneStoreBytes = flag.Int64("zone-store-bytes", 64<<20, "durable zone-solution store bound, bytes (with -eco and -data-dir)")
+		eco = flag.Bool("eco", false, "enable incremental re-optimization: record per-zone solutions as result-cache entries and accept baseJobId deltas (durable under -data-dir)")
 
 		leaseTTL      = flag.Duration("lease-ttl", 15*time.Second, "coordinator: lease heartbeat deadline; a silent worker loses the job after this")
 		maxAttempts   = flag.Int("max-attempts", 3, "coordinator: lease grants per job before it fails as retry-exhausted")
@@ -127,8 +125,6 @@ func main() {
 		RecoverBestEffort:  *recoverBE,
 		StoreMaxBytes:      *storeBytes,
 		Eco:                *eco,
-		ZoneCacheMaxBytes:  *zoneCacheBytes,
-		ZoneStoreMaxBytes:  *zoneStoreBytes,
 		YieldMaxSamples:    *yieldMaxSamples,
 		YieldMaxConcurrent: *yieldMaxConcurrent,
 	}

@@ -93,9 +93,9 @@ type Outcome struct {
 	// Zones is every zone solution the run replayed or produced (zone
 	// content key → encoded zonecache.Solution), present only when the
 	// spec's Config.ECO asked for zone recording and the result was not
-	// degraded. Workers have no shared zone store, so the solutions ride
-	// home with the outcome; the coordinator persists them and chains
-	// later deltas off them. ZonesReused / ZonesResolved mirror the
+	// degraded. Workers share no cache with the coordinator, so the
+	// solutions ride home with the outcome; the coordinator stores them
+	// as the job's zone set and chains later deltas off it. ZonesReused / ZonesResolved mirror the
 	// Result accounting for the job registry's decoration.
 	Zones         map[string][]byte `json:"zones,omitempty"`
 	ZonesReused   int               `json:"zonesReused,omitempty"`

@@ -120,7 +120,7 @@ type optimizeRequest struct {
 	tree  json.RawMessage
 	modes []wavemin.Mode
 	// baseJobID is the raw (unresolved) ECO base reference; the server
-	// resolves it against its job registry and zone store at submit time.
+	// resolves it against its job registry and result cache at submit time.
 	baseJobID string
 	// yield, when non-nil, makes this a yield-mode job (internal/yield):
 	// key is then the extended yield key, not the base optimization key.

@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
 	"wavemin"
 	"wavemin/internal/dispatch"
 	"wavemin/internal/faultinject"
+	"wavemin/internal/shard"
 )
 
 // ecoTreeJSON synthesizes the e2e tree with one sink's load optionally
@@ -260,14 +264,54 @@ func TestECOBaseErrors(t *testing.T) {
 			t.Fatalf("status %d code %q, want 409 base_not_reusable", code, errCode(resp))
 		}
 	})
+
+	t.Run("CorruptZoneSet", func(t *testing.T) {
+		// A zone set that does not decode seeds nothing: the delta is
+		// admitted and runs unseeded, with exactly the cold solve's bytes.
+		deltaTree := ecoTreeJSON(t, 8, 3, 4)
+		ref := newHarness(t, Options{Workers: 1, DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
+		vc := ref.submitWait(marshalReq(t, map[string]any{"tree": deltaTree, "config": ecoConfig()}))
+		if vc.Status != StatusDone {
+			t.Fatalf("cold reference finished %s (error %q)", vc.Status, vc.Error)
+		}
+		_, cold := ref.resultBody(vc.JobID)
+
+		h := newHarness(t, eco)
+		vb := h.submitWait(marshalReq(t, map[string]any{"tree": tree, "config": ecoConfig()}))
+		if vb.Status != StatusDone {
+			t.Fatalf("base finished %s (error %q)", vb.Status, vb.Error)
+		}
+		for name, c := range map[string]struct{ base, blob string }{
+			"garbage": {vb.JobID, "not json"},
+			// The pre-zone-set format: a list of zone keys.
+			"keyList": {vb.JobID, `["` + zoneSetKey("x") + `"]`},
+			// A base the registry never knew (forgotten at restart).
+			"unknownBase": {"j-999998", `{"k":"bm90IGEgc29sdXRpb24="}`},
+		} {
+			h.srv.cache.Put(zoneSetKey(c.base), []byte(c.blob))
+			code, resp := h.post(marshalReq(t, map[string]any{
+				"tree": deltaTree, "config": ecoConfig(), "baseJobId": c.base, "noCache": true}))
+			if code != http.StatusAccepted {
+				t.Fatalf("%s: status %d: %v, want 202", name, code, resp)
+			}
+			v := h.waitJob(jobID(t, resp), 30*time.Second)
+			if v.Status != StatusDone || v.ZonesReused != 0 || v.ZonesResolved == 0 {
+				t.Fatalf("%s: delta %s, reused/resolved = %d/%d; want done and unseeded",
+					name, v.Status, v.ZonesReused, v.ZonesResolved)
+			}
+			if _, got := h.resultBody(v.JobID); !bytes.Equal(got, cold) {
+				t.Fatalf("%s: unseeded delta bytes diverged from cold solve\ncold:  %s\ndelta: %s", name, cold, got)
+			}
+		}
+	})
 }
 
 // TestECOCrashRecovery is the crash-mid-ECO scenario: a delta job is
 // journaled (with its seed solutions in the spec) and the coordinator
 // crashes before solving it. The recovered coordinator must finish the
 // delta byte-identically — and must answer NEW deltas that name the
-// pre-crash base from the durable zone store, even though its job
-// registry died with the process.
+// pre-crash base from its zone set in the durable result store, even
+// though its job registry died with the process.
 func TestECOCrashRecovery(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	dir := t.TempDir()
@@ -333,7 +377,7 @@ func TestECOCrashRecovery(t *testing.T) {
 	}
 
 	// The pre-crash base job ID is gone from the registry, but its zone
-	// solutions and its job → zones mapping survived in DataDir/zones.
+	// set survived as a result-cache entry in DataDir/store.
 	code, resp = h2.post(marshalReq(t, map[string]any{
 		"tree": ecoTreeJSON(t, 12, 5, 4), "config": ecoConfig(), "baseJobId": baseID}))
 	if code != http.StatusAccepted {
@@ -344,6 +388,115 @@ func TestECOCrashRecovery(t *testing.T) {
 		t.Fatalf("post-crash delta finished %s (error %q)", vn.Status, vn.Error)
 	}
 	if vn.ZonesReused == 0 {
-		t.Fatalf("post-crash delta replayed no zones; durable zone store did not answer")
+		t.Fatalf("post-crash delta replayed no zones; durable result store did not answer")
+	}
+	// Zone sets live in the result store; no second store is created.
+	if _, err := os.Stat(filepath.Join(dir, "zones")); !os.IsNotExist(err) {
+		t.Fatalf("Eco+DataDir server created %s/zones (stat err %v)", dir, err)
+	}
+}
+
+// TestShardFleetECOCrossShardBase: on a sharded fleet a delta runs on
+// its own key's owner, which is usually not the node that solved its
+// base. The base's zone set is one result-cache entry placed on its
+// owner, so every delta — submitted through a node that owns neither the
+// base nor the delta — must still be admitted, replay the base's zones,
+// and return the bytes of a cold solve. On the durable fleet only the
+// zone-set key's owner may hold it in its store.
+func TestShardFleetECOCrossShardBase(t *testing.T) {
+	m, err := shard.New(1, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataRoot := t.TempDir()
+	fl := newFleetWithMap(t, m, Options{Eco: true, DefaultTimeout: time.Minute, MaxTimeout: time.Minute},
+		func(i int, o *Options) {
+			o.DataDir = filepath.Join(dataRoot, strconv.Itoa(i))
+			o.CheckpointEvery = time.Hour
+		})
+	ownerOf := func(body []byte) int {
+		t.Helper()
+		req, apiErr := decodeOptimizeRequest(body, Options{}.withDefaults())
+		if apiErr != nil {
+			t.Fatal(apiErr.message)
+		}
+		owner, err := m.ShardOf(req.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return owner
+	}
+
+	baseBody := marshalReq(t, map[string]any{"tree": ecoTreeJSON(t, 12, -1, 0), "config": ecoConfig()})
+	code, resp, _ := fl.post(ownerOf(baseBody), baseBody)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit base: status %d: %v", code, resp)
+	}
+	baseID := jobID(t, resp)
+	baseNode := jobOwner(t, baseID)
+	if v, ok := fl.waitJob(baseNode, baseID, 30*time.Second); !ok || v.Status != StatusDone {
+		t.Fatalf("base finished %q (ok=%v, error %q)", v.Status, ok, v.Error)
+	}
+
+	// Twelve 1-leaf deltas owned by the two shards that did not solve
+	// the base, six each; each goes in through the node owning neither.
+	type delta struct {
+		tree  json.RawMessage
+		owner int
+	}
+	var deltas []delta
+	perOwner := map[int]int{}
+	for sink := 0; sink < 12 && len(deltas) < 12; sink++ {
+		for _, dc := range []float64{1, 2, 3, 4, 5, 6} {
+			tree := ecoTreeJSON(t, 12, sink, dc)
+			owner := ownerOf(marshalReq(t, map[string]any{"tree": tree, "config": ecoConfig()}))
+			if owner != baseNode && perOwner[owner] < 6 {
+				perOwner[owner]++
+				deltas = append(deltas, delta{tree, owner})
+			}
+		}
+	}
+	if len(deltas) != 12 {
+		t.Fatalf("found %d deltas owned off the base's shard, want 12", len(deltas))
+	}
+
+	ref := newHarness(t, Options{DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
+	for i, d := range deltas {
+		entry := 3 - baseNode - d.owner // the node owning neither
+		code, resp, _ := fl.post(entry, marshalReq(t, map[string]any{
+			"tree": d.tree, "config": ecoConfig(), "baseJobId": baseID}))
+		if code != http.StatusAccepted {
+			t.Fatalf("delta %d (owner %d) via node %d: status %d: %v", i, d.owner, entry, code, resp)
+		}
+		id := jobID(t, resp)
+		v, ok := fl.waitJob(entry, id, 30*time.Second)
+		if !ok || v.Status != StatusDone {
+			t.Fatalf("delta %d finished %q (ok=%v, error %q)", i, v.Status, ok, v.Error)
+		}
+		if v.ZonesReused == 0 {
+			t.Fatalf("delta %d (owner %d) replayed no zones; the base's zone set was not found", i, d.owner)
+		}
+		_, got := fl.resultBody(entry, id)
+		vc := ref.submitWait(marshalReq(t, map[string]any{"tree": d.tree, "config": ecoConfig(), "noCache": true}))
+		if vc.Status != StatusDone {
+			t.Fatalf("cold reference %d finished %s (error %q)", i, vc.Status, vc.Error)
+		}
+		if _, cold := ref.resultBody(vc.JobID); !bytes.Equal(got, cold) {
+			t.Fatalf("delta %d bytes diverged from cold solve\ncold:  %s\ndelta: %s", i, cold, got)
+		}
+	}
+
+	// Shard purity: the zone set is durable on its owner and nowhere else.
+	key := zoneSetKey(baseID)
+	zoneOwner, err := m.ShardOf(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("base solved on node %d; its zone set is owned by node %d", baseNode, zoneOwner)
+	for i, node := range fl.nodes {
+		if held := node.srv.Load().store.Contains(key); held != (i == zoneOwner) {
+			t.Fatalf("node %d store holds zone set = %v; want it only on owner %d (base solved on %d)",
+				i, held, zoneOwner, baseNode)
+		}
 	}
 }

@@ -16,17 +16,18 @@ package server
 //
 // A node that surrenders a bucket drains before it flips: while still
 // routing by the old map (so nothing is lost if the drain dies), it
-// pushes the bucket's warm cached artifacts to the new owner over
-// PUT /v1/shard/cache|zones/{key}, carrying the NEW map inline so the
-// receiver can adopt it and accept as owner. Only then does the new map
-// become this node's routing truth. The drain enumerates the memory
+// pushes the bucket's warm cached artifacts — results and zone sets
+// alike — to the new owner over PUT /v1/shard/cache/{key}, carrying the
+// NEW map inline so the receiver can adopt it and accept as owner. Only
+// then does the new map become this node's routing truth. The drain enumerates the memory
 // tier only — content addressing makes every copy identical, so a
 // partial drain costs the new owner hit rate, never correctness.
 //
-// Replication-on-write keeps failover warm: every clean result a node
-// caches is also copied to the key's replica shards (memory-only on
-// the receiver), so a later owner death degrades reads to a replica
-// instead of a 503.
+// Replication-on-write keeps every copy findable: every clean result or
+// zone set a node caches is also pushed to the key's owner (when that is
+// another node) and replica shards (memory-only on a replica), so peers'
+// read-through finds it and a later owner death degrades reads to a
+// replica instead of a 503.
 
 import (
 	"bytes"
@@ -97,30 +98,20 @@ func (s *Server) drainSurrendered(cur, next *shard.Map) {
 	if len(surrendered) == 0 {
 		return
 	}
-	s.drainKeys(next, surrendered, s.cache.LocalKeys(), "/v1/shard/cache/",
-		func(key string) ([]byte, bool) { return s.cache.GetLocal(key) })
-	if s.zones != nil {
-		s.drainKeys(next, surrendered, s.zones.LocalKeys(), "/v1/shard/zones/",
-			func(key string) ([]byte, bool) { return s.zones.GetLocal(key) })
-	}
-}
-
-func (s *Server) drainKeys(next *shard.Map, surrendered map[int]int, keys []string, path string, get func(string) ([]byte, bool)) {
-	sh := s.sh
-	for _, key := range keys {
+	for _, key := range s.cache.LocalKeys() {
 		b, err := next.BucketOf(key)
 		if err != nil {
-			continue // internal bookkeeping keys (job→zones maps) may not route
+			continue // every cache key routes; skip rather than guess
 		}
 		newOwner, ok := surrendered[b]
 		if !ok {
 			continue
 		}
-		val, ok := get(key)
+		val, ok := s.cache.GetLocal(key)
 		if !ok {
 			continue // evicted between snapshot and read
 		}
-		if err := s.pushKey(newOwner, path, key, val, next); err != nil {
+		if err := s.pushKey(newOwner, key, val, next); err != nil {
 			sh.bump(&sh.handoffSendErrs, "handoff_send_errors")
 			continue
 		}
@@ -132,11 +123,11 @@ func (s *Server) drainKeys(next *shard.Map, surrendered map[int]int, keys []stri
 // encoding so the receiver can adopt m before judging ownership. Used by
 // bucket handoff (m = the map being adopted) and replication-on-write
 // (m = the current map).
-func (s *Server) pushKey(target int, path, key string, val []byte, m *shard.Map) error {
+func (s *Server) pushKey(target int, key string, val []byte, m *shard.Map) error {
 	sh := s.sh
 	ctx, cancel := context.WithTimeout(context.Background(), sh.client.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, sh.peers[target]+path+key, bytes.NewReader(val))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, sh.peers[target]+"/v1/shard/cache/"+key, bytes.NewReader(val))
 	if err != nil {
 		return err
 	}
@@ -156,25 +147,35 @@ func (s *Server) pushKey(target int, path, key string, val []byte, m *shard.Map)
 	return nil
 }
 
-// replicateResult copies a clean cached result to the key's replica
-// shards, so a later owner death finds warm read-only copies. Failures
-// are counted, never surfaced: a missing replica copy degrades a future
-// failover read to a miss, not this job's completion.
+// ownsKey reports whether this node owns key under its current map —
+// always true unsharded. Only an owner writes a key to its durable tier.
+func (s *Server) ownsKey(key string) bool {
+	if s.sh == nil {
+		return true
+	}
+	owner, err := s.sh.Map().ShardOf(key)
+	return err == nil && owner == s.sh.id
+}
+
+// replicateResult is the one placement function for cached artifacts: it
+// pushes val to key's owner and replica shards, skipping this node. A
+// result runs on its owner, so it reaches the replicas only; a zone set
+// lands wherever its job ran, so its owner gets a copy too, which is
+// where a delta's read-through looks. Failures are counted, never
+// surfaced: a missing copy degrades a future read to a miss, not this
+// job's completion.
 func (s *Server) replicateResult(key string, val []byte) {
 	sh := s.sh
 	if sh == nil {
 		return
 	}
 	m := sh.Map()
-	set, err := m.ReplicasOf(key)
-	if err != nil || len(set) == 0 {
+	_, targets, ok := sh.holders(m, key)
+	if !ok {
 		return
 	}
-	for _, t := range set {
-		if t == sh.id {
-			continue
-		}
-		if err := s.pushKey(t, "/v1/shard/cache/", key, val, m); err != nil {
+	for _, t := range targets {
+		if err := s.pushKey(t, key, val, m); err != nil {
 			sh.bump(&sh.replicaPushErrs, "replica_push_errors")
 			continue
 		}
@@ -184,32 +185,15 @@ func (s *Server) replicateResult(key string, val []byte) {
 
 // --- push endpoints --------------------------------------------------------
 
-// handleShardCachePut accepts a pushed result-cache artifact (bucket
-// handoff or replication-on-write); handleShardZonesPut is its twin for
-// zone solutions. The receiver judges the push under ITS OWN current
-// map — catching up from the carried map or the sender first when the
-// versions skew — and accepts durably as the key's owner, memory-only
-// as one of its replicas, and refuses 421 with NO write otherwise: a
-// hostile or misrouted push can waste bandwidth, never place bytes on a
-// shard the map says shouldn't hold them.
+// handleShardCachePut accepts a pushed result-cache artifact — a result
+// or a zone set — from bucket handoff or replication-on-write. The
+// receiver judges the push under ITS OWN current map — catching up from
+// the carried map or the sender first when the versions skew — and
+// accepts durably as the key's owner, memory-only as one of its
+// replicas, and refuses 421 with NO write otherwise: a hostile or
+// misrouted push can waste bandwidth, never place bytes on a shard the
+// map says shouldn't hold them.
 func (s *Server) handleShardCachePut(w http.ResponseWriter, r *http.Request) {
-	s.acceptPush(w, r,
-		func(key string, val []byte) { s.cache.Put(key, val) },
-		func(key string, val []byte) { s.cache.PutLocal(key, val) })
-}
-
-func (s *Server) handleShardZonesPut(w http.ResponseWriter, r *http.Request) {
-	if s.zones == nil {
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "eco_disabled",
-			message: "this node has no zone cache (Options.Eco / wavemind -eco)"})
-		return
-	}
-	s.acceptPush(w, r,
-		func(key string, val []byte) { s.zones.Put(key, val) },
-		func(key string, val []byte) { s.zones.PutLocal(key, val) })
-}
-
-func (s *Server) acceptPush(w http.ResponseWriter, r *http.Request, putOwned, putReplica func(string, []byte)) {
 	sh := s.sh
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
@@ -235,10 +219,10 @@ func (s *Server) acceptPush(w http.ResponseWriter, r *http.Request, putOwned, pu
 	}
 	switch {
 	case owner == sh.id:
-		putOwned(key, val)
+		s.cache.Put(key, val)
 		sh.bump(&sh.handoffRecv, "handoff_keys_received")
 	case m.IsReplica(key, sh.id):
-		putReplica(key, val)
+		s.cache.PutLocal(key, val)
 		sh.bump(&sh.replicaStored, "replica_keys_stored")
 	default:
 		sh.bump(&sh.pushRefused, "push_wrong_shard")

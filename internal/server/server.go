@@ -38,7 +38,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof when Options.Debug mounts the default mux
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -52,7 +51,6 @@ import (
 	"wavemin/internal/rescache"
 	"wavemin/internal/shard"
 	"wavemin/internal/wal"
-	"wavemin/internal/zonecache"
 )
 
 // Options configures a Server. Zero values take the defaults noted.
@@ -100,18 +98,15 @@ type Options struct {
 	// least-recently-used results are evicted.
 	StoreMaxBytes int64
 
-	// Eco enables incremental re-optimization: every solver job records
-	// its per-zone solutions in a zone cache (durable under DataDir/zones
-	// when DataDir is set), and POST /v1/optimize accepts a "baseJobId"
-	// whose zone solutions seed the new job — unchanged zones replay,
-	// only the delta is solved. Off by default: recording zones adds keying
-	// work and eco counters to job traces.
+	// Eco enables incremental re-optimization: every clean solver job
+	// stores its per-zone solutions (its zone set) as one result-cache
+	// entry — bounded like results, durable under DataDir/store when
+	// DataDir is set, placed on its owner in a sharded fleet — and
+	// POST /v1/optimize accepts a "baseJobId" whose zone set seeds the
+	// new job: unchanged zones replay, only the delta is solved. Off by
+	// default: recording zones adds keying work and eco counters to job
+	// traces.
 	Eco bool
-	// ZoneCacheMaxBytes bounds the in-memory zone-solution tier (default
-	// 32 MiB); ZoneStoreMaxBytes bounds the durable tier under
-	// DataDir/zones (default 64 MiB). Both LRU-evict.
-	ZoneCacheMaxBytes int64
-	ZoneStoreMaxBytes int64
 
 	// ShardMap, when non-nil, runs the server as one node of a sharded
 	// fleet (see shardroute.go): ShardID names the shard this node owns,
@@ -176,12 +171,6 @@ func (o Options) withDefaults() Options {
 	if o.StoreMaxBytes == 0 {
 		o.StoreMaxBytes = 256 << 20
 	}
-	if o.ZoneCacheMaxBytes == 0 {
-		o.ZoneCacheMaxBytes = 32 << 20
-	}
-	if o.ZoneStoreMaxBytes == 0 {
-		o.ZoneStoreMaxBytes = 64 << 20
-	}
 	if o.MaxForwardInFlight == 0 {
 		o.MaxForwardInFlight = 128
 	}
@@ -220,10 +209,10 @@ type job struct {
 	degraded      bool
 	errMsg        string
 	trace         *obs.Memory // non-nil iff the request asked for a trace
-	// ECO bookkeeping (Options.Eco): the zone-solution keys this job
-	// recorded — what a later delta submitted with baseJobId=<this id>
-	// seeds from — plus the reuse counters for the job view.
-	zoneKeys      []string
+	// ECO bookkeeping (Options.Eco): whether this job stored a zone set
+	// — what a later delta submitted with baseJobId=<this id> seeds from
+	// — plus the reuse counters for the job view.
+	hasZones      bool
 	zonesReused   int
 	zonesResolved int
 }
@@ -270,7 +259,6 @@ type Metrics struct {
 	// ECO counters; zero values when Options.Eco is unset.
 	EcoZonesReused   int64 // zone instances replayed instead of solved
 	EcoZonesResolved int64 // zone instances solved by eco-enabled jobs
-	ZoneCache        rescache.TieredStats
 
 	// Yield-mode counters; zero until a yield request arrives.
 	YieldJobs         int64 // yield runs started
@@ -341,8 +329,6 @@ type Server struct {
 	yieldSem     chan struct{}
 	yieldPending atomic.Int64
 
-	zones *zonecache.Cache // non-nil iff Options.Eco was set
-
 	sh *shardState // non-nil iff Options.ShardMap was set
 
 	// Anti-entropy gossip loop; nil/zero unless sharded with a
@@ -408,16 +394,14 @@ func New(opts Options) (*Server, error) {
 	var backing rescache.Backing
 	var recovered []jobq.RecoveredJob
 	var lastID uint64
-	syncWrites := false
 	if opts.DataDir != "" {
 		pol, err := wal.ParseSyncPolicy(opts.Fsync)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		syncWrites = pol != wal.SyncNone
 		store, err := castore.Open(filepath.Join(opts.DataDir, "store"), castore.Options{
 			MaxBytes: opts.StoreMaxBytes,
-			Sync:     syncWrites,
+			Sync:     pol != wal.SyncNone,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: result store: %w", err)
@@ -461,29 +445,7 @@ func New(opts Options) (*Server, error) {
 	if s.sh != nil {
 		// Fleet read-through: local result-cache misses consult the key's
 		// owning coordinator before falling back to a local solve.
-		s.cache.SetPeer(&peerCacheTier{sh: s.sh, path: "/v1/shard/cache/"})
-	}
-
-	if opts.Eco {
-		if opts.DataDir != "" {
-			z, err := zonecache.Open(filepath.Join(opts.DataDir, "zones"),
-				opts.ZoneCacheMaxBytes, opts.ZoneStoreMaxBytes, syncWrites)
-			if err != nil {
-				if s.wal != nil {
-					s.wal.Abort()
-				}
-				if s.store != nil {
-					s.store.Close()
-				}
-				return nil, fmt.Errorf("server: zone store: %w", err)
-			}
-			s.zones = z
-		} else {
-			s.zones = zonecache.New(opts.ZoneCacheMaxBytes, 0)
-		}
-		if s.sh != nil {
-			s.zones.SetPeer(&peerCacheTier{sh: s.sh, path: "/v1/shard/zones/"})
-		}
+		s.cache.SetPeer(&peerCacheTier{sh: s.sh})
 	}
 
 	s.coord = dispatch.NewCoordinator(s.q, dopts)
@@ -503,8 +465,6 @@ func New(opts Options) (*Server, error) {
 		mux.HandleFunc("POST /v1/shard/map", s.handleShardMapPost)
 		mux.HandleFunc("GET /v1/shard/cache/{key}", s.handleShardCache)
 		mux.HandleFunc("PUT /v1/shard/cache/{key}", s.handleShardCachePut)
-		mux.HandleFunc("GET /v1/shard/zones/{key}", s.handleShardZones)
-		mux.HandleFunc("PUT /v1/shard/zones/{key}", s.handleShardZonesPut)
 	}
 	if opts.Debug {
 		// The blank expvar and pprof imports register on the default
@@ -690,7 +650,6 @@ func (s *Server) Crash() {
 	if s.store != nil {
 		s.store.Abort()
 	}
-	s.zones.Abort()
 }
 
 // Recovery reports what startup replay found.
@@ -733,9 +692,6 @@ func (s *Server) Drain(ctx context.Context) error {
 			err = cerr
 		}
 	}
-	if cerr := s.zones.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
 	return err
 }
 
@@ -767,10 +723,9 @@ func (s *Server) MetricsSnapshot() Metrics {
 	if s.store != nil {
 		m.StoreStats = s.store.Stats()
 	}
-	if s.zones != nil {
+	if s.opts.Eco {
 		m.EcoZonesReused = s.met.ecoReused.Load()
 		m.EcoZonesResolved = s.met.ecoResolved.Load()
-		m.ZoneCache = s.zones.Stats()
 	}
 	if s.sh != nil {
 		m.Shard = s.sh.metrics()
@@ -878,7 +833,7 @@ func (s *Server) attachEco(req *optimizeRequest) *apiError {
 		return nil
 	}
 	if req.baseJobID != "" {
-		if s.zones == nil {
+		if !s.opts.Eco {
 			return &apiError{status: http.StatusBadRequest, code: "eco_disabled",
 				message: "baseJobId requires the server's ECO mode (Options.Eco / wavemind -eco)"}
 		}
@@ -889,94 +844,87 @@ func (s *Server) attachEco(req *optimizeRequest) *apiError {
 		req.cfg.ECO = &wavemin.ECOConfig{BaseZones: seeds}
 		return nil
 	}
-	if s.zones != nil {
+	if s.opts.Eco {
 		req.cfg.ECO = &wavemin.ECOConfig{}
 	}
 	return nil
 }
 
 // resolveBase turns a base job reference into the seed map a delta run
-// starts from.
+// starts from: the base's zone set, one result-cache entry under
+// zoneSetKey. A base still in this node's registry must be finished,
+// clean and zone-recording (409 otherwise). A base it does not know —
+// solved on another shard, or forgotten at restart or under retention
+// pressure — is known by its zone set alone, which s.cache finds in the
+// local tiers or on the key's owner and replicas (404 when none has it).
+// A zone set that is missing for a known base, or that does not decode,
+// seeds nothing: seeds are an optimization, so the delta runs as a cold
+// solve.
 func (s *Server) resolveBase(id string) (map[string][]byte, *apiError) {
 	j := s.lookup(id)
-	if j == nil {
-		// The registry forgets finished jobs at restart and under
-		// retention pressure, but every clean completion also persisted
-		// its job → zone-keys mapping in the zone store — a recovered
-		// coordinator answers deltas from the durable tier.
-		if raw, ok := s.zones.Get(jobZonesKey(id)); ok {
-			var keys []string
-			if json.Unmarshal(raw, &keys) == nil {
-				return s.fetchZones(keys), nil
-			}
+	if j != nil {
+		j.mu.Lock()
+		status, degraded, hasZones := j.status, j.degraded, j.hasZones
+		j.mu.Unlock()
+		reject := func(msg string) (map[string][]byte, *apiError) {
+			return nil, &apiError{status: http.StatusConflict, code: "base_not_reusable",
+				message: fmt.Sprintf("base job %q: %s", id, msg)}
 		}
+		switch {
+		case status != StatusDone:
+			return reject("job is " + status + "; a delta needs a finished base")
+		case degraded:
+			return reject("result is degraded (deadline-shaped); a delta never seeds from degraded solutions")
+		case !hasZones:
+			return reject("job recorded no zone solutions (cache hit, multi-mode, or pre-ECO run)")
+		}
+	}
+	raw, ok := s.cache.Get(zoneSetKey(id))
+	if !ok && j == nil {
 		return nil, &apiError{status: http.StatusNotFound, code: "unknown_base",
 			message: fmt.Sprintf("base job %q: no such job (unknown, evicted, or never completed cleanly)", id)}
 	}
-	j.mu.Lock()
-	status, degraded, keys := j.status, j.degraded, j.zoneKeys
-	j.mu.Unlock()
-	reject := func(msg string) (map[string][]byte, *apiError) {
-		return nil, &apiError{status: http.StatusConflict, code: "base_not_reusable",
-			message: fmt.Sprintf("base job %q: %s", id, msg)}
+	var seeds map[string][]byte
+	if !ok || json.Unmarshal(raw, &seeds) != nil {
+		return nil, nil // nothing to seed from: the delta runs cold
 	}
-	switch {
-	case status != StatusDone:
-		return reject("job is " + status + "; a delta needs a finished base")
-	case degraded:
-		return reject("result is degraded (deadline-shaped); a delta never seeds from degraded solutions")
-	case len(keys) == 0:
-		return reject("job recorded no zone solutions (cache hit, multi-mode, or pre-ECO run)")
-	}
-	return s.fetchZones(keys), nil
+	return seeds, nil
 }
 
-// fetchZones loads whichever of the base's solutions are still cached.
-// Misses are dropped, not errors: seeds are an optimization, so an
-// evicted solution just means that zone is re-solved.
-func (s *Server) fetchZones(keys []string) map[string][]byte {
-	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		if v, ok := s.zones.Get(k); ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// jobZonesKey derives the zone-store key of a job's zone-keys mapping
-// from its public ID (store keys must be hex digests; job IDs are not).
-func jobZonesKey(jobID string) string {
-	sum := sha256.Sum256([]byte("wavemin-jobzones\x00" + jobID))
+// zoneSetKey derives the result-cache key of a job's zone set from its
+// public ID (cache keys must be hex digests; job IDs are not).
+func zoneSetKey(jobID string) string {
+	sum := sha256.Sum256([]byte("wavemin-zoneset-v1\x00" + jobID))
 	return hex.EncodeToString(sum[:])
 }
 
-// landZones records a cleanly completed job's zone solutions: each lands
-// in the zone cache (and its durable tier), and the sorted key list lands
-// both in the job record and — keyed by job ID — in the store itself, so
-// the job can seed deltas even after the registry forgets it. Callers
-// skip degraded results entirely.
+// landZones records a cleanly completed job's zone set — zone content
+// key → encoded solution, the seed map a later delta naming this job
+// starts from — as one result-cache entry under zoneSetKey, placed like
+// any other key: durably on its owner (memory-only elsewhere, so the
+// durable tier stays shard-pure) and pushed to the owner and replicas,
+// so a delta resolves it from whichever node it lands on. Callers skip
+// degraded results entirely.
 func (s *Server) landZones(j *job, zones map[string][]byte, reused, resolved int) {
-	if s.zones == nil {
+	if !s.opts.Eco {
 		return
 	}
 	s.met.ecoReused.Add(int64(reused))
 	s.met.ecoResolved.Add(int64(resolved))
 	obs.ExpvarCounters().Add("server_eco_zones_reused", int64(reused))
 	obs.ExpvarCounters().Add("server_eco_zones_resolved", int64(resolved))
-	keys := make([]string, 0, len(zones))
-	for k, v := range zones {
-		s.zones.Put(k, v)
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if len(keys) > 0 {
-		if blob, err := json.Marshal(keys); err == nil {
-			s.zones.Put(jobZonesKey(j.id), blob)
+	if len(zones) > 0 {
+		blob, _ := json.Marshal(zones) // a map[string][]byte always marshals
+		key := zoneSetKey(j.id)
+		if s.ownsKey(key) {
+			s.cache.Put(key, blob)
+		} else {
+			s.cache.PutLocal(key, blob)
 		}
+		s.replicateResult(key, blob)
 	}
 	j.mu.Lock()
-	j.zoneKeys = keys
+	j.hasZones = len(zones) > 0
 	j.zonesReused = reused
 	j.zonesResolved = resolved
 	j.mu.Unlock()

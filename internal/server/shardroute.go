@@ -542,7 +542,7 @@ func (s *Server) serveFromReplica(w http.ResponseWriter, req *optimizeRequest) b
 		if t == sh.id {
 			blob, ok = s.cache.GetLocal(req.key)
 		} else {
-			blob, ok, _ = sh.fetchCached(t, "/v1/shard/cache/", req.key)
+			blob, ok, _ = sh.fetchCached(t, req.key)
 		}
 		if !ok {
 			continue
@@ -620,15 +620,6 @@ func validCacheKey(key string) bool {
 // here would bounce misses around the fleet). 200 + bytes on hit,
 // structured 404 on miss, 400 on a malformed key.
 func (s *Server) handleShardCache(w http.ResponseWriter, r *http.Request) {
-	s.servePeerLookup(w, r, func(key string) ([]byte, bool) { return s.cache.GetLocal(key) })
-}
-
-// handleShardZones is handleShardCache for the zone-solution cache.
-func (s *Server) handleShardZones(w http.ResponseWriter, r *http.Request) {
-	s.servePeerLookup(w, r, func(key string) ([]byte, bool) { return s.zones.GetLocal(key) })
-}
-
-func (s *Server) servePeerLookup(w http.ResponseWriter, r *http.Request, get func(string) ([]byte, bool)) {
 	sh := s.sh
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
@@ -636,7 +627,7 @@ func (s *Server) servePeerLookup(w http.ResponseWriter, r *http.Request, get fun
 			message: "cache keys are 64-character lowercase-hex digests"})
 		return
 	}
-	val, ok := get(key)
+	val, ok := s.cache.GetLocal(key)
 	if !ok {
 		sh.bump(&sh.peerServeMisses, "peer_serve_misses")
 		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "cache_miss",
@@ -652,13 +643,13 @@ func (s *Server) servePeerLookup(w http.ResponseWriter, r *http.Request, get fun
 
 // fetchCached performs one peer cache lookup against target's local
 // tiers. Callers manage forward slots; this only does the wire work.
-func (sh *shardState) fetchCached(target int, path, key string) ([]byte, bool, error) {
+func (sh *shardState) fetchCached(target int, key string) ([]byte, bool, error) {
 	if target < 0 || target >= len(sh.peers) || target == sh.id {
 		return nil, false, fmt.Errorf("peer cache: no peer %d", target)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), sh.client.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.peers[target]+path+key, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.peers[target]+"/v1/shard/cache/"+key, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -687,6 +678,27 @@ func (sh *shardState) fetchCached(target int, path, key string) ([]byte, bool, e
 
 // --- peer cache tier -------------------------------------------------------
 
+// holders lists the other nodes that hold key under m: its owner first
+// (unless that is this node), then its replicas in map order. ok is false
+// when key does not route.
+func (sh *shardState) holders(m *shard.Map, key string) (owner int, targets []int, ok bool) {
+	owner, err := m.ShardOf(key)
+	if err != nil {
+		return 0, nil, false
+	}
+	set, _ := m.ReplicasOf(key)
+	targets = make([]int, 0, 1+len(set))
+	if owner != sh.id {
+		targets = append(targets, owner)
+	}
+	for _, t := range set {
+		if t != sh.id && t != owner {
+			targets = append(targets, t)
+		}
+	}
+	return owner, targets, true
+}
+
 // peerCacheTier implements rescache.PeerTier over the fleet: a local
 // miss asks the key's owning coordinator for its locally cached bytes,
 // and — when the owner cannot be consulted — falls back to the bucket's
@@ -695,28 +707,16 @@ func (sh *shardState) fetchCached(target int, path, key string) ([]byte, bool, e
 // shares the forward slot bound, so cache read-through cannot outgrow
 // the same backpressure budget.
 type peerCacheTier struct {
-	sh   *shardState
-	path string // "/v1/shard/cache/" or "/v1/shard/zones/"
+	sh *shardState
 }
 
 func (p *peerCacheTier) PeerGet(key string) ([]byte, bool, error) {
 	sh := p.sh
-	m := sh.Map()
-	owner, err := m.ShardOf(key)
-	if err != nil {
-		// Not a routable key (zone keys and cache keys always are); there
-		// is no owner to ask, so it is an authoritative miss, not a fault.
+	owner, targets, ok := sh.holders(sh.Map(), key)
+	if !ok {
+		// Not a routable key (every cache key is); there is no owner to
+		// ask, so it is an authoritative miss, not a fault.
 		return nil, false, nil
-	}
-	set, _ := m.ReplicasOf(key)
-	targets := make([]int, 0, 1+len(set))
-	if owner != sh.id {
-		targets = append(targets, owner)
-	}
-	for _, t := range set {
-		if t != sh.id && t != owner {
-			targets = append(targets, t)
-		}
 	}
 	if len(targets) == 0 {
 		// This node IS the authority (and any replicas are itself); its
@@ -731,7 +731,7 @@ func (p *peerCacheTier) PeerGet(key string) ([]byte, bool, error) {
 	}
 	var lastErr error
 	for _, t := range targets {
-		val, ok, err := sh.fetchCached(t, p.path, key)
+		val, ok, err := sh.fetchCached(t, key)
 		if err != nil {
 			lastErr = err
 			continue

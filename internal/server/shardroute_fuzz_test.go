@@ -134,11 +134,10 @@ func FuzzShardRoute(f *testing.F) {
 		code, respBody := do(t, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), from, ver, nil)
 		assertStructured(t, "job read", code, respBody)
 
-		// Hostile keys against the peer cache and zone lookups.
+		// Hostile keys against the peer cache lookup (results and zone
+		// sets share it).
 		code, respBody = do(t, http.MethodGet, "/v1/shard/cache/"+url.PathEscape(key), from, ver, nil)
 		assertStructured(t, "peer cache lookup", code, respBody)
-		code, respBody = do(t, http.MethodGet, "/v1/shard/zones/"+url.PathEscape(key), from, ver, nil)
-		assertStructured(t, "peer zone lookup", code, respBody)
 
 		// Forged forwarded submits with arbitrary bodies.
 		code, respBody = do(t, http.MethodPost, "/v1/optimize", from, ver, body)

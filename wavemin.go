@@ -211,40 +211,20 @@ type Design struct {
 	Modes []Mode
 
 	// mu guards the Tree pointer's node storage (snapshot/commit), Modes,
-	// the lazy lib init, and the zone cache pointer. The Grid is immutable
-	// after construction.
+	// and the lazy lib init. The Grid is immutable after construction.
 	mu         sync.Mutex
 	lib        *cell.Library
 	dieW, dieH float64
-	zcache     *zonecache.Cache
-}
-
-// SetZoneCache attaches a shared per-zone solution cache to the design:
-// every subsequent Optimize run looks its (interval, zone) solver
-// instances up by content key, replays hits, and writes fresh solutions
-// through. Because zone keys pin the exact solver input, sharing a cache
-// across designs or across edits of one design is safe — replay is
-// bitwise-identical to solving — and attaching one never changes any
-// result, only the cost. Pass nil to detach.
-func (d *Design) SetZoneCache(c *zonecache.Cache) {
-	d.mu.Lock()
-	d.zcache = c
-	d.mu.Unlock()
 }
 
 // zoneSession builds the per-run ECO session, or nil when this run has
-// neither a cache attached nor an ECO request.
-func (d *Design) zoneSession(cfg Config) *zonecache.Session {
-	d.mu.Lock()
-	zc := d.zcache
-	d.mu.Unlock()
-	if zc == nil && cfg.ECO == nil {
+// no ECO request.
+func zoneSession(cfg Config) *zonecache.Session {
+	if cfg.ECO == nil {
 		return nil
 	}
-	zs := zonecache.NewSession(zc)
-	if cfg.ECO != nil {
-		zs.Seed(cfg.ECO.BaseZones)
-	}
+	zs := zonecache.NewSession()
+	zs.Seed(cfg.ECO.BaseZones)
 	return zs
 }
 
@@ -449,7 +429,7 @@ type Result struct {
 	Stats *Stats
 
 	// ECO accounting, populated only when the run had a zone session
-	// (Config.ECO set or a cache attached via SetZoneCache). All four are
+	// (Config.ECO set). All four are
 	// excluded from the marshaled result: like Stats, they describe the
 	// run, not the answer, and the canonical result bytes of a delta solve
 	// must equal those of the cold solve it shortcuts.
@@ -539,7 +519,7 @@ func (d *Design) Optimize(ctx context.Context, cfg Config) (res *Result, err err
 	if err != nil {
 		return nil, err
 	}
-	zs := d.zoneSession(cfg)
+	zs := zoneSession(cfg)
 	rungs, err := d.ladder(cfg, sizing, degradable, snap, modes, lib, zs)
 	if err != nil {
 		return nil, err
