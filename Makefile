@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%F)
 BENCH_LATEST = $(lastword $(sort $(filter-out BENCH_baseline.json,$(wildcard BENCH_*.json))))
 
-.PHONY: build test vet race check verify bench benchdiff cover e2e e2e-dispatch e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield test-flake fuzz-smoke netloc
+.PHONY: build test vet race check verify bench bench-mosp benchdiff cover e2e e2e-dispatch e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield test-flake fuzz-smoke netloc
 
 build:
 	$(GO) build ./...
@@ -143,6 +143,13 @@ bench: build
 	$(GO) run ./scripts/benchjson < bench.out > BENCH_$(BENCH_DATE).json
 	@rm -f bench.out
 	@echo wrote BENCH_$(BENCH_DATE).json
+
+# Solver-only timing: BenchmarkMOSPSolveISPD (every zone graph of
+# ispd09f34's first interval at the paper defaults), five runs each at
+# one processor and at all of them, for a median and a spread.
+# Informational, not part of `make check`.
+bench-mosp:
+	$(GO) test -run '^$$' -bench 'MOSPSolveISPD$$' -benchmem -count 5 -cpu 1,$$(nproc) .
 
 # Non-blocking regression report: newest snapshot vs the committed
 # baseline. Informational — single-run perf noise should not fail CI,

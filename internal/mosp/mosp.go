@@ -27,12 +27,22 @@
 // quantized coordinate with collision-checked equality instead of a
 // string-keyed map, and the Pareto filter tests a per-label witness
 // coordinate before any full dominance scan.
+//
+// The MaxLabels cap is an exact bounded top-k by (max, gen), where gen is
+// a label's generation order in its layer. Once more than MaxLabels slots
+// of the next layer are known, every candidate whose running max reaches
+// the (MaxLabels+1)-th smallest slot max is certain to be cut, so it is
+// dropped before its cost vector, hash, dedup entry or label struct is
+// made. Each candidate first tests its parent's argmax coordinate, where
+// both the incumbent bound and the cap threshold fire most often.
 package mosp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -46,8 +56,22 @@ import (
 type solveStats struct {
 	expanded  int64 // labels materialized (post incumbent prune)
 	pruned    int64 // partial paths killed by the incumbent bound
+	abandoned int64 // partial paths dropped early as certain cap cuts
 	dedupHits int64 // Warburton round-key merges
 	capped    int64 // layers where the MaxLabels safety valve fired
+}
+
+// drop counts a candidate dropped at coordinate value c: an incumbent
+// prune from ubLim on, below it a certain cap cut (nil-safe).
+func (st *solveStats) drop(c, ubLim float64) {
+	if st == nil {
+		return
+	}
+	if c >= ubLim {
+		st.pruned++
+	} else {
+		st.abandoned++
+	}
 }
 
 // flush records the counters onto the span (nil-safe).
@@ -57,6 +81,7 @@ func (st *solveStats) flush(sp *obs.Span) {
 	}
 	sp.Count("mosp.labels_expanded", st.expanded)
 	sp.Count("mosp.pruned", st.pruned)
+	sp.Count("mosp.cap_abandoned", st.abandoned)
 	sp.Count("mosp.dedup_hits", st.dedupHits)
 	sp.Count("mosp.capped_layers", st.capped)
 }
@@ -359,11 +384,13 @@ func SolveExhaustive(g *Graph) (Solution, error) {
 // allocated (stable addresses) and their cost slices point into the
 // expander's float arenas.
 type label struct {
-	cost  []float64 // exact, baseline included
-	max   float64   // max over cost
-	layer int32     // last assigned layer
-	pick  int32     // vertex picked in that layer
-	prev  *label
+	cost   []float64 // exact, baseline included
+	max    float64   // max over cost
+	layer  int32     // last assigned layer
+	pick   int32     // vertex picked in that layer
+	gen    int32     // build order within the layer: the cap's tie-break
+	argmax int32     // first coordinate holding max
+	prev   *label
 }
 
 // Options tunes Solve.
@@ -372,8 +399,10 @@ type Options struct {
 	// value is within (1+Epsilon) of optimal (subject to MaxLabels).
 	Epsilon float64
 	// MaxLabels caps the label set per layer as a memory/time safety
-	// valve. When hit, the labels with the smallest current max survive;
-	// the ε guarantee then degrades gracefully. 0 = default.
+	// valve. When hit, the MaxLabels labels with the smallest current max
+	// survive, ties going to the label built first in the layer's
+	// (frontier index, vertex index) scan; the ε guarantee then degrades
+	// gracefully. 0 = default.
 	MaxLabels int
 	// WarmLabels / WarmFrontier are warm-start capacity hints from a prior
 	// solve of a similar instance (ECO mode): expected label expansions and
@@ -454,12 +483,49 @@ func (a *floatArena) reset() {
 }
 
 // expandScratch is expandLayers' per-solve working memory: the two cost
-// arenas and paretoFilter's witness buffer. scratchPool recycles it across
-// solves, so a steady stream of solves stops paying for fresh, zeroed
-// chunks.
+// arenas, paretoFilter's witness buffer and the cap's slot heap.
+// scratchPool recycles it across solves, so a steady stream of solves
+// stops paying for fresh, zeroed chunks.
 type expandScratch struct {
 	arenas  [2]floatArena
 	witness [paretoFilterMax]int32
+	slots   slotHeap
+}
+
+// slotHeap is a max-heap of slot maxes: one key per tracked slot of the
+// layer being built, each at least its slot's current occupant's max.
+type slotHeap []float64
+
+func (h *slotHeap) push(m float64) {
+	*h = append(*h, m)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a[p] >= a[i] {
+			return
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+// replaceTop swaps the largest key for m, which must not exceed it.
+func (h slotHeap) replaceTop(m float64) {
+	h[0] = m
+	for i := 0; ; {
+		big := i
+		if l := 2*i + 1; l < len(h) && h[l] > h[big] {
+			big = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] > h[big] {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(expandScratch) }}
@@ -603,7 +669,7 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 		base[i] = 0 // arena memory is recycled, not zeroed
 	}
 	start := labels.alloc()
-	*start = label{cost: base, max: maxOf(base), layer: -1, pick: -1}
+	*start = label{cost: base, max: maxOf(base), layer: -1, pick: -1, argmax: int32(argmax(base))}
 	frontier = []*label{start}
 	nextCap := 64
 	if warmFrontier > nextCap {
@@ -619,6 +685,17 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 		seen = make(map[uint64]int32, seenCap)
 	}
 
+	// Incumbent prune: weights are non-negative, so a partial sum already
+	// above UB can only grow; it is dead (ties kept to preserve the greedy
+	// path itself). c ≥ ubLim ⇔ c > ub+1e-12.
+	ubLim := math.Nextafter(ub+1e-12, math.Inf(1))
+	// The cap runs as a bounded top-k only when no layer it cuts could
+	// have been Pareto-filtered: a layer over MaxLabels ≥ paretoFilterMax
+	// labels is never filtered, so dropping its certain cuts early changes
+	// nothing the filter sees. Smaller caps build everything, filter, cut.
+	topK := opt.MaxLabels >= paretoFilterMax
+	slots := &sc.slots
+
 	for li, layer := range g.Layers {
 		if err := ctx.Err(); err != nil {
 			return nil, release, err
@@ -631,36 +708,53 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 		if delta > 0 {
 			clear(seen)
 		}
+		// A candidate is dropped once any coordinate reaches lim: ubLim,
+		// or, once MaxLabels+1 slots are tracked, the largest slot key.
+		// Every tracked key bounds its slot's occupant from above (a dedup
+		// merge only lowers the occupant), and a later candidate loses max
+		// ties to all of them, so MaxLabels+1 slots rank ahead of any
+		// candidate reaching that key: the cut takes it whether it would
+		// open a slot, replace an occupant or merge. Tracking MaxLabels+1
+		// rather than MaxLabels also guarantees the layer is over the cap,
+		// so it is cut and sorted exactly as if every label were built.
+		// (The one exception needs a true 64-bit hash collision inside
+		// the layer: a dropped label can then change which colliding key
+		// holds the dedup slot.)
+		*slots = (*slots)[:0]
+		lim := ubLim
+		var gen int32
 		for fi, lb := range frontier {
 			if fi%1024 == 1023 {
 				if err := ctx.Err(); err != nil {
 					return nil, release, err
 				}
 			}
+			a := lb.argmax
 			for vi := range layer {
 				v := &layer[vi]
+				// The parent's argmax is where a child most often reaches
+				// lim; both drops are order-free, so testing it first
+				// changes no decision.
+				if c := lb.cost[a] + v.Weight[a]; c >= lim {
+					st.drop(c, ubLim)
+					continue
+				}
 				cost := nextArena.alloc(r)
-				m := math.Inf(-1)
-				pruned := false
+				m, am := math.Inf(-1), 0
+				dropped := false
 				for s := 0; s < r; s++ {
 					c := lb.cost[s] + v.Weight[s]
-					// Incumbent prune, hoisted ahead of the remaining cost
-					// writes: weights are non-negative, so the final max
-					// can only grow; anything already above UB is dead
-					// (ties kept to preserve the greedy path itself).
-					if c > ub+1e-12 {
-						pruned = true
+					if c >= lim {
+						st.drop(c, ubLim)
+						dropped = true
 						break
 					}
 					cost[s] = c
 					if c > m {
-						m = c
+						m, am = c, s
 					}
 				}
-				if pruned {
-					if st != nil {
-						st.pruned++
-					}
+				if dropped {
 					nextArena.unalloc(r)
 					continue
 				}
@@ -668,7 +762,8 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 					st.expanded++
 				}
 				nl := labels.alloc()
-				*nl = label{cost: cost, max: m, layer: int32(li), pick: int32(vi), prev: lb}
+				*nl = label{cost: cost, max: m, layer: int32(li), pick: int32(vi), gen: gen, argmax: int32(am), prev: lb}
+				gen++
 				if delta > 0 {
 					h := hashQuantized(cost, delta)
 					if idx, ok := seen[h]; ok {
@@ -694,6 +789,18 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 					}
 				}
 				next = append(next, nl)
+				if topK {
+					// A new slot. With MaxLabels+1 keys tracked, m < lim
+					// is below the largest, which it replaces.
+					if len(*slots) <= opt.MaxLabels {
+						slots.push(m)
+					} else {
+						slots.replaceTop(m)
+					}
+					if len(*slots) > opt.MaxLabels {
+						lim = (*slots)[0]
+					}
+				}
 			}
 		}
 		// Pareto dominance filter (exact costs) when affordable.
@@ -705,7 +812,18 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 			if st != nil {
 				st.capped++
 			}
-			sort.Slice(next, func(i, j int) bool { return next[i].max < next[j].max })
+			if len(*slots) > opt.MaxLabels {
+				// A slot whose key left the heap and whose occupant is
+				// still above the largest key ranks behind MaxLabels+1
+				// tracked slots: cut it unsorted.
+				next = slices.DeleteFunc(next, func(lb *label) bool { return lb.max > lim })
+			}
+			slices.SortFunc(next, func(x, y *label) int {
+				if c := cmp.Compare(x.max, y.max); c != 0 {
+					return c
+				}
+				return cmp.Compare(x.gen, y.gen)
+			})
 			next = next[:opt.MaxLabels]
 		}
 		if len(next) == 0 {
@@ -812,7 +930,7 @@ func paretoFilter(labels []*label, r int, witness []int32) []*label {
 			break
 		}
 		if !dominated {
-			witness[len(out)] = int32(argmax(cand.cost))
+			witness[len(out)] = cand.argmax
 			out = append(out, cand)
 		}
 	}

@@ -2,6 +2,7 @@ package mosp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -339,7 +340,7 @@ func TestParetoFilterMatchesReference(t *testing.T) {
 					cost[s] = float64(rng.Intn(6))
 				}
 			}
-			labels = append(labels, &label{cost: cost, max: maxOf(cost), pick: int32(i)})
+			labels = append(labels, &label{cost: cost, max: maxOf(cost), pick: int32(i), argmax: int32(argmax(cost))})
 		}
 		want := paretoFilterReference(append([]*label(nil), labels...), r)
 		got := paretoFilter(append([]*label(nil), labels...), r, witness)
@@ -465,4 +466,282 @@ func TestParallelMOSPArenaReuse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// expandSortAllReference is the label cap without the bounded top-k:
+// every label that survives the incumbent bound is built, deduplicated
+// and kept; a small layer is Pareto-filtered, and a layer over the cap is
+// sorted by (max, gen) and cut to MaxLabels.
+func expandSortAllReference(g *Graph, opt Options, ub float64) []*label {
+	r := g.Dim()
+	delta := 0.0
+	if opt.Epsilon > 0 && ub > 0 {
+		delta = opt.Epsilon * ub / float64(len(g.Layers))
+	}
+	base := make([]float64, r)
+	copy(base, g.Baseline)
+	frontier := []*label{{cost: base, max: maxOf(base), layer: -1, pick: -1, argmax: int32(argmax(base))}}
+	witness := make([]int32, paretoFilterMax)
+	for li, layer := range g.Layers {
+		var next []*label
+		seen := map[uint64]int{}
+		var gen int32
+		for _, lb := range frontier {
+			for vi, v := range layer {
+				cost := make([]float64, r)
+				pruned := false
+				for s := range cost {
+					cost[s] = lb.cost[s] + v.Weight[s]
+					pruned = pruned || cost[s] > ub+1e-12
+				}
+				if pruned {
+					continue
+				}
+				nl := &label{cost: cost, max: maxOf(cost), layer: int32(li), pick: int32(vi),
+					gen: gen, argmax: int32(argmax(cost)), prev: lb}
+				gen++
+				if delta > 0 {
+					h := hashQuantized(cost, delta)
+					if idx, ok := seen[h]; ok {
+						if sameQuantized(next[idx].cost, cost, delta) {
+							if nl.max < next[idx].max {
+								next[idx] = nl
+							}
+							continue
+						}
+					} else {
+						seen[h] = len(next)
+					}
+				}
+				next = append(next, nl)
+			}
+		}
+		if len(next) <= paretoFilterMax {
+			next = paretoFilter(next, r, witness)
+		}
+		if len(next) > opt.MaxLabels {
+			sort.Slice(next, func(i, j int) bool {
+				a, b := next[i], next[j]
+				return a.max < b.max || (a.max == b.max && a.gen < b.gen)
+			})
+			next = next[:opt.MaxLabels]
+		}
+		if len(next) == 0 {
+			return nil
+		}
+		frontier = next
+	}
+	return frontier
+}
+
+// pathOf returns a label's picks, first layer first.
+func pathOf(lb *label) []int32 {
+	var p []int32
+	for ; lb != nil && lb.layer >= 0; lb = lb.prev {
+		p = append([]int32{lb.pick}, p...)
+	}
+	return p
+}
+
+// solveFromFrontier finishes a solve the way Solve does: the first
+// smallest-max frontier label, unless the greedy incumbent is as good.
+func solveFromFrontier(g *Graph, frontier []*label, greedy Solution) Solution {
+	if len(frontier) == 0 {
+		return greedy
+	}
+	best := frontier[0]
+	for _, lb := range frontier[1:] {
+		if lb.max < best.max {
+			best = lb
+		}
+	}
+	if best.max >= greedy.Max {
+		return greedy
+	}
+	picks := make([]int, len(g.Layers))
+	for i, p := range pathOf(best) {
+		picks[i] = int(p)
+	}
+	return g.solutionFor(picks)
+}
+
+// gridGraph draws weights from a five-value integer grid: fine enough
+// for layers to outgrow the cap (dupGraph's three values mostly merge or
+// dominate), coarse enough that label maxes tie often, also across the
+// cap's cut.
+func gridGraph(rng *rand.Rand, layers, width, dim int) *Graph {
+	g := &Graph{Baseline: make([]float64, dim)}
+	for s := range g.Baseline {
+		g.Baseline[s] = float64(rng.Intn(3))
+	}
+	for i := 0; i < layers; i++ {
+		l := make([]Vertex, width)
+		for j := range l {
+			w := make([]float64, dim)
+			for s := range w {
+				w[s] = float64(rng.Intn(5))
+			}
+			l[j] = Vertex{Weight: w, Tag: j}
+		}
+		g.Layers = append(g.Layers, l)
+	}
+	return g
+}
+
+// nearCapLayer is a one-layer graph of distinct vertices on the grid
+// {½, 1½, …, 7½}⁴ in random order, so maxes tie often, plus dups
+// later vertices that repeat an earlier one: exactly (an ε-dedup merge
+// that keeps the occupant) or lowered by ¼ (a merge that replaces it,
+// when the quantum is 1).
+func nearCapLayer(rng *rand.Rand, distinct, dups int) *Graph {
+	var layer []Vertex
+	for _, p := range rng.Perm(8 * 8 * 8 * 8)[:distinct] {
+		w := make([]float64, 4)
+		for s := range w {
+			w[s] = float64(p%8) + 0.5
+			p /= 8
+		}
+		layer = append(layer, Vertex{Weight: w})
+	}
+	for d := 0; d < dups; d++ {
+		w := append([]float64(nil), layer[rng.Intn(len(layer))].Weight...)
+		if rng.Intn(2) == 0 {
+			for s := range w {
+				w[s] -= 0.25
+			}
+		}
+		at := 1 + rng.Intn(len(layer))
+		layer = append(layer[:at], append([]Vertex{{Weight: w}}, layer[at:]...)...)
+	}
+	for v := range layer {
+		layer[v].Tag = v
+	}
+	return &Graph{Layers: [][]Vertex{layer}}
+}
+
+// checkCapFrontier compares expandLayers' frontier with the sort-all
+// reference — same costs, same paths, same order — and returns the
+// expansion's counters.
+func checkCapFrontier(t *testing.T, name string, g *Graph, opt Options, ub float64) *solveStats {
+	t.Helper()
+	want := expandSortAllReference(g, opt, ub)
+	st := &solveStats{}
+	got, release, err := expandLayers(context.Background(), g, opt, ub, false, st)
+	defer release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: frontier %d labels, reference %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i].cost, want[i].cost) || !reflect.DeepEqual(pathOf(got[i]), pathOf(want[i])) {
+			t.Fatalf("%s: frontier label %d is %v, reference %v", name, i, pathOf(got[i]), pathOf(want[i]))
+		}
+	}
+	return st
+}
+
+// TestCapTopKMatchesSortAll: dropping certain cap cuts early must leave
+// exactly the frontier (costs, picks and order) and the Solve result of
+// building every label and cutting the sorted layer. Multi-layer graphs
+// run under the greedy incumbent, as Solve does; one-layer graphs put
+// the layer size within a few labels of the cap, where a bound that is
+// off by one slot keeps a layer the reference cuts.
+func TestCapTopKMatchesSortAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(4000))
+	var capped, abandoned int64
+	caps := []int{paretoFilterMax, paretoFilterMax + 1, 4000}
+	for trial := 0; trial < 12; trial++ {
+		g := gridGraph(rng, 5+rng.Intn(3), 8+rng.Intn(8), 3+rng.Intn(4))
+		greedy, err := SolveGreedy(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range caps {
+			for _, eps := range []float64{0, 0.01} {
+				name := fmt.Sprintf("trial %d K=%d ε=%g", trial, k, eps)
+				opt := Options{Epsilon: eps, MaxLabels: k}
+				st := checkCapFrontier(t, name, g, opt, greedy.Max)
+				capped += st.capped
+				abandoned += st.abandoned
+				want := solveFromFrontier(g, expandSortAllReference(g, opt, greedy.Max), greedy)
+				sol, err := Solve(context.Background(), g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(sol, want) {
+					t.Fatalf("%s: Solve %v (max %g), reference %v (max %g)", name, sol.Picks, sol.Max, want.Picks, want.Max)
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		for _, k := range caps {
+			g := nearCapLayer(rng, k-1+rng.Intn(4), rng.Intn(5))
+			for _, eps := range []float64{0, 0.01} {
+				// ub = 100 makes the ε = 0.01 quantum exactly 1.
+				st := checkCapFrontier(t, fmt.Sprintf("near-cap trial %d K=%d ε=%g", trial, k, eps), g,
+					Options{Epsilon: eps, MaxLabels: k}, 100)
+				capped += st.capped
+				abandoned += st.abandoned
+			}
+		}
+	}
+	if capped == 0 || abandoned == 0 {
+		t.Fatalf("capped %d layers, abandoned %d labels: the top-k path is not exercised", capped, abandoned)
+	}
+}
+
+// TestCapTieBreakIsGenerationOrder: when more than MaxLabels labels share
+// the max at the cut, the cap keeps the ones built first.
+func TestCapTieBreakIsGenerationOrder(t *testing.T) {
+	const k, n = paretoFilterMax, 3000
+	for _, tc := range []struct {
+		name      string
+		max       func(v int) float64
+		abandoned int64 // exact count, or -1 for any positive count
+	}{
+		// Every candidate after the first k+1 reaches the all-tied
+		// threshold and is abandoned without being built.
+		{"all tied", func(int) float64 { return 2 }, n - (k + 1)},
+		{"tie straddles the cut", func(v int) float64 { return float64(1 + min(v%4, 1)) }, -1},
+	} {
+		layer := make([]Vertex, n)
+		for v := range layer {
+			m := tc.max(v)
+			layer[v] = Vertex{Weight: []float64{m * float64(v%7) / 7, m}, Tag: v}
+		}
+		g := &Graph{Layers: [][]Vertex{layer}}
+		// The (max, vertex) order is the (max, gen) order of a one-layer graph.
+		want := make([]int32, n)
+		for v := range want {
+			want[v] = int32(v)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return tc.max(int(want[i])) < tc.max(int(want[j])) })
+		want = want[:k]
+
+		st := &solveStats{}
+		frontier, release, err := expandLayers(context.Background(), g, Options{MaxLabels: k}, 2, false, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int32, len(frontier))
+		for i, lb := range frontier {
+			got[i] = lb.pick
+		}
+		release()
+		if len(got) != k {
+			t.Fatalf("%s: kept %d labels, want %d", tc.name, len(got), k)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: kept label %d is vertex %d, want %d (the first %d by (max, gen))", tc.name, i, got[i], want[i], k)
+			}
+		}
+		if st.capped != 1 || st.abandoned == 0 || st.expanded+st.abandoned != n ||
+			(tc.abandoned >= 0 && st.abandoned != tc.abandoned) {
+			t.Fatalf("%s: capped %d, expanded %d, abandoned %d of %d", tc.name, st.capped, st.expanded, st.abandoned, n)
+		}
+	}
 }

@@ -4,7 +4,7 @@
 //
 // Every cacheable artifact already travels under a portable sha256
 // content hash — the whole-design Design.CacheKey, the per-zone
-// wavemin-zonekey-v1 solution keys, and the castore entry names are all
+// wavemin-zonekey-v2 solution keys, and the castore entry names are all
 // lowercase hex digests — so the partition is by key prefix: the first
 // PrefixBits bits of the digest select one of 1<<PrefixBits buckets, and
 // a versioned bucket→shard assignment table maps buckets onto shards.

@@ -29,7 +29,7 @@ import (
 // KeyFormat versions the zone key encoding. Bump it whenever the
 // canonical form of any section of the zone key changes, so entries
 // written under an older encoding can never alias a new instance.
-const KeyFormat = "wavemin-zonekey-v1"
+const KeyFormat = "wavemin-zonekey-v2"
 
 // solutionVersion versions the stored value encoding independently of the
 // key: a decode of a foreign or stale blob fails closed into a cache miss.
